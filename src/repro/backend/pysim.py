@@ -72,7 +72,6 @@ always-correct deferred evaluation of its own method.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
@@ -92,8 +91,8 @@ from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.node import Node
 from repro.errors import CombinationalLoopError
+from repro.graphalg import levelize, toposort
 from repro.sim.monitors import ProtocolMonitor
-from repro.sim.sensitivity import _levelize
 from repro.sim.stats import ChannelStats
 
 __all__ = [
@@ -669,7 +668,6 @@ def _build_plan(netlist):
         for t, (ni, reads, writes, emit) in enumerate(live):
             for port, sig in writes:
                 produced[(port_channel[(nodes[ni].name, port)], sig)] = t
-        indeg = [0] * len(live)
         adj = [[] for _ in live]
         starved = set()
         for t, (ni, reads, writes, emit) in enumerate(live):
@@ -681,20 +679,11 @@ def _build_plan(netlist):
                     starved.add(ni)
                     break
                 adj[src].append(t)
-                indeg[t] += 1
         if starved:
             demoted |= starved
             continue
-        scheduled = []
-        ready = deque(t for t in range(len(live)) if indeg[t] == 0)
-        while ready:
-            t = ready.popleft()
-            scheduled.append(t)
-            for j in adj[t]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(scheduled) == len(live):
+        scheduled, cycle = toposort(range(len(live)), adj)
+        if cycle is None:
             task_order = [live[t] for t in scheduled]
             break
         placed = set(scheduled)
@@ -717,7 +706,7 @@ def _build_plan(netlist):
             wi = writer.get((ci, sig))
             if wi is not None and wi != ni:
                 succ[wi].add(ni)
-    order = _levelize(range(len(nodes)), succ)
+    order = levelize(range(len(nodes)), succ)
     plan.deferred = [ni for ni in order if ni in demoted]
 
     # A channel adjacent to any deferred (or missing) endpoint stays boxed

@@ -11,6 +11,12 @@ marking = capacity - tokens); the backward edges express finite capacity —
 they are why a capacity-1 buffer (``C < Lf + Lb``) halves throughput, and
 why the Figure 1(b) bubble-in-a-one-token-loop yields exactly 1/2.
 
+The minimum is found without enumerating cycles: Dinkelbach's parametric
+search (Dasdan, TODAES 2004) asks one Bellman–Ford negative-cycle question
+per candidate ratio (:func:`repro.graphalg.negative_cycle`) and moves to
+the ratio of each cycle it finds, so the answer stays an exact
+:class:`~fractions.Fraction` in polynomial time per step.
+
 Early evaluation and speculation *break* the marked-graph abstraction (that
 is the point of the paper); for those designs use simulation
 (:mod:`repro.perf.throughput`).  :func:`marked_graph_throughput` refuses
@@ -22,12 +28,11 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 
-import networkx as nx
-
 from repro.errors import NetlistError
+from repro.graphalg import negative_cycle
 
 
-def _cloud_graph(netlist):
+def _cloud_edges(netlist):
     """Contract combinational regions into clouds; EBs become weighted edges.
 
     Clouds are formed over *channels*: two channels belong to the same
@@ -35,8 +40,7 @@ def _cloud_graph(netlist):
     elastic buffer then contributes a forward edge (latency ``Lf``, marking
     = its tokens) from its input-channel cloud to its output-channel cloud,
     and a backward capacity edge (latency ``Lb``, marking = capacity -
-    tokens).  Returns a MultiDiGraph whose edges carry ``tokens`` and
-    ``latency``.
+    tokens).  Returns the multigraph as ``(u, v, tokens, latency)`` edges.
     """
     parent = {name: name for name in netlist.channels}
 
@@ -59,7 +63,7 @@ def _cloud_graph(netlist):
         connected = [node.channel(p).name for p in node.ports if p in node._channels]
         for other in connected[1:]:
             union(connected[0], other)
-    graph = nx.MultiDiGraph()
+    edges = []
     for eb in buffers:
         src_cloud = find(eb.channel("i").name)
         dst_cloud = find(eb.channel("o").name)
@@ -67,12 +71,9 @@ def _cloud_graph(netlist):
         anti = max(-eb.count, 0)
         lf = 1
         lb = 0 if eb.kind == "zbl_eb" else 1
-        graph.add_edge(src_cloud, dst_cloud, tokens=tokens - anti, latency=lf, eb=eb.name)
-        graph.add_edge(
-            dst_cloud, src_cloud,
-            tokens=eb.capacity - tokens + anti, latency=lb, eb=f"{eb.name}~cap",
-        )
-    return graph
+        edges.append((src_cloud, dst_cloud, tokens - anti, lf))
+        edges.append((dst_cloud, src_cloud, eb.capacity - tokens + anti, lb))
+    return edges
 
 
 def _has_early_eval(netlist):
@@ -90,51 +91,60 @@ def min_cycle_ratio(netlist, force=False):
             "marked-graph analysis is not valid for early-evaluation / "
             "speculative designs; use simulation (pass force=True to override)"
         )
-    graph = _cloud_graph(netlist)
+    return cycle_ratio(_cloud_edges(netlist))
+
+
+def cycle_ratio(edges):
+    """Minimum tokens/latency over the cycles of a multigraph given as
+    ``(u, v, tokens, latency)`` edges (integer markings and latencies).
+
+    Returns an exact :class:`Fraction`, or ``None`` when no cycle has
+    positive latency.  Raises :class:`NetlistError` when some cycle holds
+    no tokens (or a negative count).  Cycles are never enumerated: each
+    step is one Bellman–Ford negative-cycle search.
+    """
+    nodes = list(dict.fromkeys(end for edge in edges for end in edge[:2]))
+    out = {u: [] for u in nodes}
+    for u, v, tokens, latency in edges:
+        out[u].append((v, tokens, latency))
+
+    def cycle_under(weight):
+        """(tokens, latency) of some cycle negative under ``weight``."""
+        succ = {u: [(v, weight(t, l)) for v, t, l in arcs]
+                for u, arcs in out.items()}
+        cycle = negative_cycle(nodes, succ)
+        if cycle is None:
+            return None
+        hops = [out[u][i] for u, i in cycle]
+        return sum(h[1] for h in hops), sum(h[2] for h in hops)
+
+    # A simple cycle has at most len(nodes) edges, so it weighs below zero
+    # under (len(nodes) + 1) * tokens - 1 exactly when its tokens are <= 0.
+    scale = len(nodes) + 1
+    starved = cycle_under(lambda t, _l: scale * t - 1)
+    if starved is not None:
+        tokens, latency = starved
+        if latency == 0:
+            raise NetlistError(
+                "zero-latency cycle with no slack (combinational "
+                "capacity loop)"
+            )
+        raise NetlistError(
+            f"cycle with {tokens} tokens and latency {latency}: "
+            "structural deadlock"
+        )
+    # Dinkelbach: every cycle now holds a token, so it weighs below zero
+    # under q*tokens - p*latency exactly when it has latency and a ratio
+    # below p/q.  Start above every ratio and drop to each cycle found
+    # until none is left below.
     best = None
-    # Collapse the multigraph for cycle enumeration, keeping parallel edges
-    # as alternatives: enumerate cycles on the simple projection, then take
-    # the per-hop minimum-ratio edge (any cycle through a parallel edge pair
-    # is dominated by the worse edge).
-    simple = nx.DiGraph()
-    for u, v, data in graph.edges(data=True):
-        if simple.has_edge(u, v):
-            simple.edges[u, v]["variants"].append(data)
-        else:
-            simple.add_edge(u, v, variants=[data])
-    for cycle in nx.simple_cycles(simple):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        for choice in _edge_choices(simple, pairs):
-            tokens = sum(d["tokens"] for d in choice)
-            latency = sum(d["latency"] for d in choice)
-            if latency == 0:
-                if tokens <= 0:
-                    raise NetlistError(
-                        "zero-latency cycle with no slack (combinational "
-                        "capacity loop)"
-                    )
-                continue
-            if tokens <= 0:
-                raise NetlistError(
-                    f"cycle with {tokens} tokens and latency {latency}: "
-                    "structural deadlock"
-                )
-            ratio = Fraction(tokens, latency)
-            if best is None or ratio < best:
-                best = ratio
-    return best
-
-
-def _edge_choices(simple, pairs):
-    """All combinations of parallel-edge variants along a cycle (bounded:
-    parallel pairs only arise from EB forward/backward duals)."""
-    choices = [[]]
-    for u, v in pairs:
-        variants = simple.edges[u, v]["variants"]
-        choices = [prefix + [d] for prefix in choices for d in variants]
-        if len(choices) > 4096:
-            raise NetlistError("cycle enumeration blew up; netlist too dense")
-    return choices
+    ratio = Fraction(sum(max(t, 0) for _u, _v, t, _l in edges) + 1)
+    while True:
+        p, q = ratio.numerator, ratio.denominator
+        found = cycle_under(lambda t, l: q * t - p * l)
+        if found is None:
+            return best
+        best = ratio = Fraction(*found)
 
 
 #: netlist -> (structural version, force flag, ratio) memo for
@@ -147,8 +157,8 @@ def cached_min_cycle_ratio(netlist, force=False):
     """:func:`min_cycle_ratio` memoized on the netlist's structural
     ``version``.
 
-    The session-attached analysis mode of the transform loop: cycle
-    enumeration is only redone after an actual structural edit, so
+    The session-attached analysis mode of the transform loop: the ratio
+    search is only redone after an actual structural edit, so
     repeated scoring of an unchanged design point (or pure undo/redo
     round-trips back to a cached version... which still bumps the version,
     and therefore recomputes — the memo is per *current* version only) is
@@ -167,7 +177,7 @@ def cached_min_cycle_ratio(netlist, force=False):
 def marked_graph_throughput(netlist, force=False, cached=False):
     """Analytical steady-state throughput in transfers/cycle (<= 1.0).
 
-    ``cached=True`` memoizes the cycle enumeration on the netlist's
+    ``cached=True`` memoizes the minimum cycle ratio on the netlist's
     structural version (see :func:`cached_min_cycle_ratio`).
     """
     if cached:

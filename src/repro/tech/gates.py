@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import NetlistError
+from repro.graphalg import toposort
 
 _EVAL = {
     "inv": lambda a: not a,
@@ -161,27 +162,16 @@ class GateNetlist:
 
     def topo_gates(self):
         """Gates in topological order (raises on combinational cycles)."""
-        order = []
-        state = {}
-
-        def visit(net):
-            gate = self._drivers.get(net)
-            if gate is None:
-                return
-            mark = state.get(net)
-            if mark == "done":
-                return
-            if mark == "busy":
-                raise NetlistError(f"combinational cycle through net {net!r}")
-            state[net] = "busy"
+        drivers = self._drivers
+        fanout = {net: [] for net in drivers}
+        for net, gate in drivers.items():
             for src in gate.inputs:
-                visit(src)
-            state[net] = "done"
-            order.append(gate)
-
-        for net in list(self._drivers):
-            visit(net)
-        return order
+                if src in fanout:
+                    fanout[src].append(net)
+        order, cycle = toposort(drivers, fanout)
+        if cycle is not None:
+            raise NetlistError(f"combinational cycle through net {cycle[0]!r}")
+        return [drivers[net] for net in order]
 
     def evaluate(self, input_values):
         """Evaluate outputs for a dict of input net -> bool."""
@@ -200,7 +190,7 @@ class GateNetlist:
         )
 
     def delay(self, tech):
-        """Longest input-to-output path delay."""
+        """Worst arrival time over all gates (constants arrive at 0)."""
         arrival = {net: 0.0 for net in self.inputs}
         worst = 0.0
         for gate in self.topo_gates():
@@ -209,8 +199,7 @@ class GateNetlist:
                 continue
             start = max((arrival[src] for src in gate.inputs), default=0.0)
             arrival[gate.output] = start + tech.delay_of(gate.kind)
-            if gate.output in self.outputs or True:
-                worst = max(worst, arrival[gate.output])
+            worst = max(worst, arrival[gate.output])
         return worst
 
     def stats(self, tech):

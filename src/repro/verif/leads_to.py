@@ -20,7 +20,7 @@ which the verification tests demonstrate.
 
 from __future__ import annotations
 
-import networkx as nx
+from repro.graphalg import sccs
 
 
 def _token_waiting(packed_signals, channel_index):
@@ -55,7 +55,7 @@ def check_leads_to(result, in_channel, out_channel=None):
     ``(ok, lasso)`` where ``lasso`` lists the state indices of a starving
     cycle when ``ok`` is False.
     """
-    graph = nx.DiGraph()
+    graph = {}
     states = result.states
     in_index = result.channel_index(in_channel)
     out_index = (result.channel_index(out_channel)
@@ -73,13 +73,11 @@ def check_leads_to(result, in_channel, out_channel=None):
                 continue
             if _released(t, result, in_channel, out_channel, out_index):
                 continue
-            graph.add_edge(t.source, t.target)
-    for component in nx.strongly_connected_components(graph):
-        if len(component) > 1:
+            graph.setdefault(t.source, []).append(t.target)
+            graph.setdefault(t.target, [])
+    for component in sccs(graph, graph):
+        if len(component) > 1 or component[0] in graph[component[0]]:
             return False, sorted(component)
-        node = next(iter(component))
-        if graph.has_edge(node, node):
-            return False, [node]
     return True, []
 
 

@@ -13,7 +13,7 @@ from repro.perf.area import area_breakdown, area_overhead, total_area
 from repro.perf.mcr import marked_graph_throughput, min_cycle_ratio
 from repro.perf.report import format_report_table, performance_report
 from repro.perf.throughput import measure_throughput
-from repro.perf.timing import analyze_timing, cycle_time
+from repro.perf.timing import analyze_timing, cycle_time, timing_graph
 from repro.tech.library import DEFAULT_TECH, TechLibrary
 
 
@@ -87,6 +87,23 @@ class TestTiming:
             return net
 
         assert cycle_time(chain(6)) > cycle_time(chain(2))
+
+    def test_zbl_ring_is_a_timing_loop_with_a_real_cycle(self):
+        """A ring of ZBL buffers chains their zero-latency stop paths into
+        a loop; the error names the vertices of one actual cycle."""
+        net = Netlist("zbl_ring")
+        for i in range(3):
+            net.add(ZeroBackwardLatencyBuffer(f"z{i}", init=[i]))
+        for i in range(3):
+            net.connect(f"z{i}.o", f"z{(i + 1) % 3}.i", name=f"r{i}")
+        with pytest.raises(NetlistError, match="combinational timing loop") as info:
+            analyze_timing(net)
+        hops = str(info.value).split(": ", 1)[1].split(" -> ")
+        cycle = [(h.split(".")[0], h.split(".")[1][:-3], h[-2]) for h in hops]
+        graph = timing_graph(net)
+        assert len(set(cycle)) == len(cycle) == 6
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            assert v in graph[u]
 
 
 class TestMcr:
