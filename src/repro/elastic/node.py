@@ -184,6 +184,19 @@ class Node:
     def snapshot(self):
         """Hashable snapshot of the sequential state.
 
+        Contract: one simulation step must be a deterministic function of
+        (snapshot, choice vector) — every piece of state that influences
+        a cycle belongs here, and every nondeterministic alternative must
+        come through :meth:`choice_space` / :meth:`set_choice`.  The model
+        checker memoizes a snapshot's successors and clones snapshots
+        into batch lanes on that basis.  Nodes that draw from a seeded RNG
+        outside nondet mode (``ListSource`` / ``FunctionSource`` with
+        ``0 < rate < 1``, ``Sink`` / ``KillerSink`` with a stall or kill
+        rate strictly between 0 and 1, ``RandomScheduler``,
+        chaos saboteurs with ``nondet=False``) break it and are not
+        explorable; ``StateCorruptor`` keeps it, since its mask is a
+        function of the snapshotted ``_idx``.
+
         Prefer nested tuples of ints / bools / strings / ``None``: the
         model checker's state index stores a canonical ``marshal``-based
         byte encoding of these (see :mod:`repro.verif.encoding`) instead

@@ -8,7 +8,7 @@ returns plus per-channel boolean tuples, the index both hashes slowly
 tuple graph resident per state, which dominates the checker's memory at
 20k+ states.
 
-Two layers make the states cheap:
+Three layers make the states cheap:
 
 * **Packed signals** — the four control bits of every channel pack into
   **one byte per channel** (``VP | SP<<1 | VM<<2 | SM<<3``), in the
@@ -16,12 +16,22 @@ Two layers make the states cheap:
   ``ExplorationResult.states`` and consumed by the packed property checks
   of :mod:`repro.verif.properties`; :func:`unpack_signals` recovers the
   friendly ``{channel: (vp, sp, vm, sm)}`` view on demand.
-* **State keys** — :meth:`StateCodec.encode` serializes the
-  ``(packed signals, snapshot)`` pair through :func:`marshal.dumps` at
+* **Snapshot codes** — :meth:`StateCodec.snapshot_code` serializes a
+  :meth:`Netlist.snapshot` capture through :func:`marshal.dumps` at
   version 2: a value-deterministic, C-speed encoding for the tuple/int/
   bool/str/float/bytes/``None`` values the :meth:`Node.snapshot` contract
   asks for (version 2 predates marshal's identity-based object sharing,
   so equal values always produce equal bytes regardless of aliasing).
+  The explorer keys its successor memo by this code: one step is a
+  deterministic function of (snapshot, choice vector), so states that
+  differ only in their previous signals share one expansion.
+* **State keys** — :meth:`StateCodec.state_key` composes a snapshot code
+  with the state's packed signals: a one-byte tag (initial state /
+  produced by a cycle), the fixed-width signal bytes, then the snapshot
+  code.  The composition is unambiguous within one netlist, so the code
+  computed when a successor is indexed is reused, unchanged, as that
+  state's memo key when it is expanded.  :meth:`StateCodec.encode` does
+  both steps at once.
 
 The resulting keys are *hash-consed* by the index dict itself: the one
 interned ``bytes`` object is all that stays resident per state key, and
@@ -33,11 +43,11 @@ names ride along; dropping them with a Python-level pass would cost more
 than marshal's C writer spends on them).
 
 A snapshot containing a value marshal cannot serialize (an arbitrary
-Python object as a data token, say) makes :meth:`StateCodec.encode` return
-``None``; the explorer then falls back to the classic nested-tuple key for
-that state.  Since a given value always encodes the same way, mixing
-encoded and fallback keys in one index is safe — the two kinds never
-compare equal.
+Python object as a data token, say) is its own snapshot code, and its
+state key is the classic ``(snapshot, packed_signals)`` tuple;
+:meth:`StateCodec.encode` returns ``None`` for it.  Since a given value
+always encodes the same way, mixing encoded and fallback keys in one
+index is safe — the two kinds never compare equal.
 """
 
 from __future__ import annotations
@@ -81,16 +91,31 @@ class StateCodec:
     def __init__(self, netlist):
         self.channel_names = list(netlist.channels)
 
-    def encode(self, snapshot, packed_signals):
-        """The canonical ``bytes`` key of a state.
-
-        ``snapshot`` is a :meth:`Netlist.snapshot` capture;
-        ``packed_signals`` is the :func:`pack_signals` byte vector of the
-        cycle that produced the state (``None`` for the initial state).
-        Returns ``None`` when a snapshot value is not marshal-serializable
-        (the caller falls back to tuple keys).
-        """
+    @staticmethod
+    def snapshot_code(snapshot):
+        """The canonical ``bytes`` code of a :meth:`Netlist.snapshot`
+        capture, or ``snapshot`` itself when one of its values is not
+        marshal-serializable."""
         try:
-            return marshal.dumps((packed_signals, snapshot), _MARSHAL_VERSION)
+            return marshal.dumps(snapshot, _MARSHAL_VERSION)
         except ValueError:
-            return None
+            return snapshot
+
+    @staticmethod
+    def state_key(code, packed_signals):
+        """The dedup-index key of the state ``(snapshot, packed_signals)``
+        given the snapshot's :meth:`snapshot_code`; ``packed_signals`` is
+        the :func:`pack_signals` byte vector of the cycle that produced the
+        state (``None`` for the initial state)."""
+        if type(code) is not bytes:
+            return (code, packed_signals)
+        if packed_signals is None:
+            return b"\x00" + code
+        return b"\x01" + packed_signals + code
+
+    def encode(self, snapshot, packed_signals):
+        """The canonical ``bytes`` key of a state, or ``None`` when a
+        snapshot value is not marshal-serializable (the caller falls back
+        to tuple keys)."""
+        key = self.state_key(self.snapshot_code(snapshot), packed_signals)
+        return key if type(key) is bytes else None

@@ -18,10 +18,33 @@ order (see :mod:`repro.verif.encoding`); decode a state's signals with
 Exploration engines
 -------------------
 
+Both engines rest on one contract: a step is a *deterministic function
+of (snapshot, choice vector)*.  Every piece of sequential state that
+influences a cycle must be in :meth:`Node.snapshot`, and every
+nondeterministic alternative must come through ``choice_space`` /
+``set_choice``.  Seeded-random nodes outside nondet mode keep RNG state
+outside their snapshot and are therefore not explorable: ``ListSource``
+/ ``FunctionSource`` with ``0 < rate < 1``, ``Sink`` / ``KillerSink``
+with a stall or kill rate strictly between 0 and 1, the
+``RandomScheduler``, and the chaos saboteurs built with ``nondet=False``.
+(``StateCorruptor`` is fine: its corruption mask is a function of the
+snapshotted ``_idx``.)
+
+Only the two-cycle Retry check reads a state's previous signals, so the
+successors of a state depend on its snapshot alone.  Each ``explore()``
+call therefore keeps a *successor memo* keyed by the snapshot code of
+:mod:`repro.verif.encoding`: the first state with a given snapshot is
+expanded — one fix-point per choice vector, recording each successor's
+choices, events, packed signals, snapshot, ``productive`` flag and
+invariant check — and every later state with the same snapshot only
+replays that list, running its own Retry check against its own previous
+signals.  Both engines record transitions through that one replay
+routine, so the memo cannot make them disagree.
+
 ``lanes=1`` (default) — classic breadth-first search: one scalar
 fix-point (``engine=`` selects worklist / naive / one-lane batch / the
-compiled ``codegen`` module) per explored ``(state, choice-vector)``
-transition.
+compiled ``codegen`` module) per distinct ``(snapshot, choice-vector)``
+expansion.
 
 ``lanes=N`` — the lane-batched frontier engine.  Every successor
 expansion of a BFS frontier is same-topology by construction, differing
@@ -31,15 +54,18 @@ pending ``(snapshot, choice-vector)`` expansions into the lanes of one
 into the lanes (:meth:`~repro.sim.batch.BatchSimulator.restore_lane_states`),
 one shared bit-packed fix-point advances all of them
 (:meth:`~repro.sim.batch.BatchSimulator.step_with_lane_choices`), and each
-lane's successor snapshot / signals are gathered back out.  Expansions are
-drained in exactly the scalar BFS order, so the batched engine is
-*bit-identical* to the scalar one — same state indices, transition list,
-violations and verdicts — which the differential exploration tests pin.
+lane's successor snapshot / signals are gathered back out.  The lanes
+carry only snapshots the memo has not seen; states are replayed in
+exactly the scalar BFS order, so the batched engine is *bit-identical* to
+the scalar one — same state indices, transition list, violations and
+verdicts — which the differential exploration tests pin.
 
 Either way the dedup index is keyed by the canonical compact byte
-encoding of :mod:`repro.verif.encoding` (hash-consed by the index dict),
-and the returned :class:`ExplorationResult` carries a prebuilt adjacency
-index (:meth:`ExplorationResult.successors` /
+encoding of :mod:`repro.verif.encoding` (hash-consed by the index dict;
+a state's key embeds its snapshot code, computed once when the state is
+indexed and reused as its memo key), and the returned
+:class:`ExplorationResult` carries a prebuilt adjacency index
+(:meth:`ExplorationResult.successors` /
 :meth:`ExplorationResult.predecessors`) that the deadlock and leads-to
 analyses traverse instead of re-scanning the flat transition list.
 
@@ -84,9 +110,10 @@ from repro.runtime.faults import fault_point
 from repro.sim.engine import Simulator
 from repro.verif.encoding import StateCodec, unpack_signals
 from repro.verif.properties import (
+    broken_obligations,
     check_invariant_packed,
-    check_retry_packed,
     retry_exempt_channels,
+    retry_obligations,
 )
 
 
@@ -99,6 +126,30 @@ class Transition:
     choices: dict
     events: dict          # channel -> ChannelEvents
     productive: bool      # any token/anti-token movement anywhere
+
+
+class _Successor:
+    """One memoized ``(snapshot, choice-vector)`` expansion: everything
+    about a transition that does not depend on the source state's
+    previous signals.  ``choices`` and ``events`` are shared by every
+    :class:`Transition` replayed from it (read-only downstream);
+    ``snapshot``, ``code`` and ``key`` are only kept until the successor
+    state has an index (``target``)."""
+
+    __slots__ = ("choices", "events", "signals", "snapshot", "code",
+                 "key", "productive", "problems", "target")
+
+    def __init__(self, choices, events, signals, snapshot, code, key,
+                 productive, problems):
+        self.choices = choices
+        self.events = events
+        self.signals = signals          # packed, one byte per channel
+        self.snapshot = snapshot
+        self.code = code                # snapshot code: the memo key
+        self.key = key                  # dedup-index key of the successor
+        self.productive = productive
+        self.problems = problems        # invariant violations (no Retry)
+        self.target = None              # state index, once indexed
 
 
 @dataclass
@@ -190,11 +241,12 @@ class StateExplorer:
     """Breadth-first reachability over environment/scheduler choices.
 
     ``engine`` selects the scalar fix-point engine (worklist by default):
-    the explorer pays one fix-point per explored transition, so the
-    worklist engine speeds up whole model-checking runs.  ``lanes=N``
-    switches to the lane-batched frontier engine instead, expanding N
-    pending transitions per bit-packed fix-point pass (``engine`` must
-    then be left at ``None`` — the batch engine is implied).
+    the explorer pays one fix-point per distinct ``(snapshot,
+    choice-vector)`` expansion, so the worklist engine speeds up whole
+    model-checking runs.  ``lanes=N`` switches to the lane-batched
+    frontier engine instead, expanding N pending expansions per
+    bit-packed fix-point pass (``engine`` must then be left at ``None`` —
+    the batch engine is implied).
     """
 
     def __init__(self, netlist, max_states=20000, check_protocol=True,
@@ -287,56 +339,63 @@ class StateExplorer:
         for combo in itertools.product(*spaces):
             yield dict(zip(names, combo))
 
-    def _key(self, snapshot, signals):
-        """Compact dedup-index key of a state (tuple fallback when a
-        snapshot value defeats the canonical byte encoding)."""
-        key = self._codec.encode(snapshot, signals)
-        if key is None:
-            return (snapshot, signals)
-        return key
+    def _successor(self, choices, events, signals, snapshot):
+        """Memo entry of one expansion that produced ``events`` /
+        ``signals`` (packed) / ``snapshot`` under ``choices``."""
+        code = self._codec.snapshot_code(snapshot)
+        return _Successor(
+            choices, events, signals, snapshot, code,
+            self._codec.state_key(code, signals),
+            any(ev.forward or ev.cancel or ev.backward
+                for ev in events.values()),
+            check_invariant_packed(signals, self._channel_names)
+            if self.check_protocol else (),
+        )
 
-    def _record(self, result, index, frontier, current, prev_signals,
-                choices, events, signals, successor_snapshot):
-        """Shared per-transition bookkeeping of both engines: protocol
-        checks, state dedup (cap-aware) and the transition record.
-        ``signals`` / ``prev_signals`` are packed byte vectors."""
-        if self.check_protocol:
-            problems = check_invariant_packed(signals, self._channel_names)
-            if prev_signals is not None:
-                problems += check_retry_packed(
-                    prev_signals, signals, self._channel_names,
-                    self._exempt_indices,
-                )
-            for problem in problems:
-                result.violations.append(
-                    f"state {current} choices {choices}: {problem}"
-                )
-        key = self._key(successor_snapshot, signals)
-        target = index.get(key)
-        if target is None:
-            if len(result.states) >= self.max_states:
-                # Over the cap: the successor stays unindexed and the
-                # transition is dropped (there is no target id to record),
-                # but expansion continues so transitions into already-
-                # indexed states are still captured.
-                result.complete = False
-                return
-            target = len(result.states)
-            index[key] = target
-            result.states.append((successor_snapshot, signals))
-            frontier.append(target)
-        productive = any(
-            ev.forward or ev.cancel or ev.backward for ev in events.values()
-        )
-        result.transitions.append(
-            Transition(
-                source=current,
-                target=target,
-                choices=choices,
-                events=events,
-                productive=productive,
-            )
-        )
+    def _replay(self, result, index, codes, frontier, current, successors):
+        """Record the expansion of state ``current`` from its memoized
+        ``successors`` — the per-transition bookkeeping shared by both
+        engines: the Retry check against this state's own previous
+        signals, state dedup (cap-aware) and the transition records."""
+        prev_signals = result.states[current][1]
+        obligations = ()
+        if self.check_protocol and prev_signals is not None:
+            obligations = retry_obligations(
+                prev_signals, self._channel_names, self._exempt_indices)
+        for succ in successors:
+            if self.check_protocol:
+                problems = succ.problems
+                if obligations:
+                    problems = problems + broken_obligations(
+                        obligations, succ.signals)
+                for problem in problems:
+                    result.violations.append(
+                        f"state {current} choices {succ.choices}: {problem}"
+                    )
+            target = succ.target
+            if target is None:
+                target = index.get(succ.key)
+                if target is None:
+                    if len(result.states) >= self.max_states:
+                        # Over the cap: the successor stays unindexed and
+                        # the transition is dropped (there is no target id
+                        # to record), but expansion continues so
+                        # transitions into already-indexed states are
+                        # still captured.
+                        result.complete = False
+                        continue
+                    target = len(result.states)
+                    index[succ.key] = target
+                    result.states.append((succ.snapshot, succ.signals))
+                    codes.append(succ.code)
+                    frontier.append(target)
+                # Only indexing reads the successor's snapshot, code and
+                # key; release the memo's copies of them.
+                succ.target = target
+                succ.snapshot = succ.code = succ.key = None
+            result.transitions.append(Transition(
+                current, target, succ.choices, succ.events, succ.productive,
+            ))
 
     # -- checkpoint / resume ------------------------------------------------
 
@@ -362,12 +421,10 @@ class StateExplorer:
                 f"design state is not serializable for checkpointing: {exc}"
             ) from exc
 
-    def _try_resume(self, result, index):
+    def _try_resume(self, result):
         """Restore the explored prefix from ``checkpoint`` (when the file
         exists and matches this exploration's content key); returns the
-        discovery index to resume expansion from (0 on a fresh start).
-        The dedup index is rebuilt by re-encoding every stored state, so a
-        resumed run dedups exactly as the uninterrupted run did."""
+        discovery index to resume expansion from (0 on a fresh start)."""
         if self.checkpoint is None:
             return 0
         body = load_checkpoint(self.checkpoint, "explore", self._ckpt_key)
@@ -377,10 +434,20 @@ class StateExplorer:
         result.transitions[:] = body["transitions"]
         result.violations[:] = body["violations"]
         result.complete = body["complete"]
-        index.clear()
-        for i, (snapshot, signals) in enumerate(result.states):
-            index[self._key(snapshot, signals)] = i
         return body["next_index"]
+
+    def _index_states(self, result):
+        """The dedup index (state key -> state index) and the per-state
+        snapshot codes of ``result.states``, built by encoding every
+        state — so a resumed run dedups exactly as the uninterrupted run
+        did."""
+        index = {}
+        codes = []
+        for i, (snapshot, signals) in enumerate(result.states):
+            code = self._codec.snapshot_code(snapshot)
+            codes.append(code)
+            index[self._codec.state_key(code, signals)] = i
+        return index, codes
 
     def _boundary(self, result, current):
         """State-boundary hook, called the instant before expanding state
@@ -451,13 +518,12 @@ class StateExplorer:
         """
         self.netlist.reset()
         initial_snapshot = self.netlist.snapshot()
-        initial = (initial_snapshot, None)
-        index = {self._key(initial_snapshot, None): 0}
-        result = ExplorationResult(states=[initial],
+        result = ExplorationResult(states=[(initial_snapshot, None)],
                                    channel_names=list(self._channel_names))
         self._ckpt_key = (self._checkpoint_key(initial_snapshot)
                           if self.checkpoint is not None else None)
-        start = self._try_resume(result, index)
+        start = self._try_resume(result)
+        index, codes = self._index_states(result)
         self._last_saved = start
         self._boundary_state = None
         self._stop_reason = None
@@ -465,9 +531,9 @@ class StateExplorer:
                           if self.time_budget is not None else None)
         try:
             if self._batch is not None:
-                self._explore_batched(result, index, start)
+                self._explore_batched(result, index, codes, start)
             else:
-                self._explore_scalar(result, index, start)
+                self._explore_scalar(result, index, codes, start)
         except KeyboardInterrupt:
             self._flush_boundary(result)
             raise
@@ -480,70 +546,93 @@ class StateExplorer:
             self._flush_boundary(result)
         return result
 
-    def _explore_scalar(self, result, index, start=0):
+    def _explore_scalar(self, result, index, codes, start=0):
         netlist = self.netlist
         sim = self.sim
         states = result.states
         frontier = deque(range(start, len(states)))
+        memo = {}                    # snapshot code -> [_Successor]
         while frontier:
             current = frontier[0]
             if self._boundary(result, current):
                 result.stopped = self._stop_reason
                 return
             frontier.popleft()
-            snapshot, prev_signals = states[current]
-            # One restore serves both the choice-space enumeration and the
-            # first expansion; later vectors re-restore before stepping.
-            netlist.restore(snapshot)
-            restored = True
-            for choices in self._choice_vectors():
-                if not restored:
-                    netlist.restore(snapshot)
-                restored = False
-                events = sim.step_with_choices(choices)
-                signals = self._packed_signals()
-                self._record(result, index, frontier, current, prev_signals,
-                             choices, events, signals, netlist.snapshot())
+            successors = memo.get(codes[current])
+            if successors is None:
+                successors = memo[codes[current]] = []
+                snapshot = states[current][0]
+                # One restore serves both the choice-space enumeration and
+                # the first expansion; later vectors re-restore first.
+                netlist.restore(snapshot)
+                restored = True
+                for choices in self._choice_vectors():
+                    if not restored:
+                        netlist.restore(snapshot)
+                    restored = False
+                    events = sim.step_with_choices(choices)
+                    successors.append(self._successor(
+                        choices, events, self._packed_signals(),
+                        netlist.snapshot(),
+                    ))
+            self._replay(result, index, codes, frontier, current, successors)
 
-    def _explore_batched(self, result, index, start=0):
+    def _explore_batched(self, result, index, codes, start=0):
         batch = self._batch
         lanes = self.lanes
         netlist = self.netlist       # choice-space probe only, never stepped
         states = result.states
         frontier = deque(range(start, len(states)))
-        tasks = deque()
-        while frontier or tasks:
-            # A state boundary exists only when no expansion is pending:
-            # tasks drain strictly in BFS order, so an empty queue means
-            # every state below frontier[0] is fully expanded.
-            if not tasks:
-                if self._boundary(result, frontier[0]):
-                    result.stopped = self._stop_reason
-                    return
-            # Refill the pending-expansion queue in exactly the scalar BFS
-            # order.  Pre-popping the next frontier states before earlier
-            # results are recorded is safe: the frontier is ordered by
-            # discovery index and new discoveries always index higher.
+        memo = {}                    # snapshot code -> [_Successor]
+        pending = deque()            # popped states awaiting replay
+        tasks = deque()              # (successors, snapshot, choices)
+        while frontier or pending:
+            # A state boundary exists only when no state is pending: states
+            # replay strictly in BFS order, so an empty queue means every
+            # state below frontier[0] is fully expanded.
+            if not pending and self._boundary(result, frontier[0]):
+                result.stopped = self._stop_reason
+                return
+            # Refill the lane work in exactly the scalar BFS order.
+            # Pre-popping the next frontier states before earlier ones are
+            # replayed is safe: the frontier is ordered by discovery index
+            # and new discoveries always index higher.  A state whose
+            # snapshot is already in the memo adds no lane work.
             while frontier and len(tasks) < lanes:
-                state_index = frontier.popleft()
-                netlist.restore(states[state_index][0])
+                current = frontier.popleft()
+                pending.append(current)
+                if codes[current] in memo:
+                    continue
+                successors = memo[codes[current]] = []
+                snapshot = states[current][0]
+                netlist.restore(snapshot)
                 for choices in self._choice_vectors():
-                    tasks.append((state_index, choices))
-            chunk = [tasks.popleft()
-                     for _ in range(min(lanes, len(tasks)))]
-            # Idle lanes (final partial chunk) replicate the last pending
-            # expansion; their results are discarded.
-            padded = chunk + [chunk[-1]] * (lanes - len(chunk))
-            batch.restore_lane_states([states[s][0] for s, _ in padded])
-            events_by_lane, signals_by_lane = batch.step_with_lane_choices(
-                [choices for _, choices in padded]
-            )
-            for lane, (current, choices) in enumerate(chunk):
-                self._record(result, index, frontier, current,
-                             states[current][1], choices,
-                             events_by_lane[lane],
-                             signals_by_lane[lane],
-                             batch.lane_snapshot(lane))
+                    tasks.append((successors, snapshot, choices))
+            if tasks:
+                chunk = [tasks.popleft()
+                         for _ in range(min(lanes, len(tasks)))]
+                # Idle lanes (final partial chunk) replicate the last
+                # pending expansion; their results are discarded.
+                padded = chunk + [chunk[-1]] * (lanes - len(chunk))
+                batch.restore_lane_states([snap for _, snap, _ in padded])
+                events_by_lane, signals_by_lane = batch.step_with_lane_choices(
+                    [choices for _, _, choices in padded]
+                )
+                for lane, (successors, _, choices) in enumerate(chunk):
+                    successors.append(self._successor(
+                        choices, events_by_lane[lane], signals_by_lane[lane],
+                        batch.lane_snapshot(lane),
+                    ))
+            # Replay every pending state whose memo entry is complete.
+            # Entries are created, and their lane work queued, in pending
+            # order, so the head's entry is complete unless the next
+            # queued task still belongs to it.
+            while pending:
+                successors = memo[codes[pending[0]]]
+                if tasks and tasks[0][0] is successors:
+                    break
+                self._replay(result, index, codes, frontier,
+                             pending.popleft(), successors)
 
 
 def explore_or_raise(netlist, max_states=20000, engine=None, lanes=1):

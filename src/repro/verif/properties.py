@@ -62,21 +62,39 @@ def check_invariant_packed(packed, channel_names):
     return problems
 
 
+def retry_obligations(prev, channel_names, exempt_indices=frozenset()):
+    """The Retry obligations a packed ``prev`` signal vector puts on the
+    next cycle: one ``(position, bit, message)`` per stalled token (Retry+,
+    unless its position is in ``exempt_indices``) or stalled anti-token
+    (Retry-) that must still be offered.  It depends on ``prev`` alone, so
+    the explorer computes it once per state for all of its successors."""
+    obligations = []
+    for i, p in enumerate(prev):
+        if p & 0b0111 == 0b0011 and i not in exempt_indices:
+            # vp & sp & ~vm held: vp must stay up
+            obligations.append((i, VP_BIT, f"{channel_names[i]}: "
+                                "stalled token withdrawn (Retry+)"))
+        if p & 0b1101 == 0b1100:
+            # vm & sm & ~vp held: vm must stay up
+            obligations.append((i, VM_BIT, f"{channel_names[i]}: "
+                                "stalled anti-token withdrawn (Retry-)"))
+    return obligations
+
+
+def broken_obligations(obligations, cur):
+    """Messages of the :func:`retry_obligations` that the packed ``cur``
+    signal vector breaks."""
+    return [message for i, bit, message in obligations if not cur[i] & bit]
+
+
 def check_retry_packed(prev, cur, channel_names, exempt_indices=frozenset()):
     """:func:`check_retry` over packed-bytes signal vectors.
 
     ``exempt_indices`` holds channel *positions* (into ``channel_names``)
     exempt from Retry+; returns the same messages as the dict form.
     """
-    problems = []
-    for i, p in enumerate(prev):
-        c = cur[i]
-        if (p & 0b0111 == 0b0011 and not c & 0b0001
-                and i not in exempt_indices):     # vp & sp & ~vm held, vp dropped
-            problems.append(f"{channel_names[i]}: stalled token withdrawn (Retry+)")
-        if p & 0b1101 == 0b1100 and not c & 0b0100:   # vm & sm & ~vp held, vm dropped
-            problems.append(f"{channel_names[i]}: stalled anti-token withdrawn (Retry-)")
-    return problems
+    return broken_obligations(
+        retry_obligations(prev, channel_names, exempt_indices), cur)
 
 
 #: node kinds whose outputs follow their inputs combinationally (a valid

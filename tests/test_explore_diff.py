@@ -204,3 +204,83 @@ class TestLaneGatherApi:
                      bool(ch.state.vm), bool(ch.state.sm))
               for name, ch in scalar_net.channels.items()}
         assert batch.lane_signals(2) == st
+
+
+# -- replay oracle ------------------------------------------------------------
+
+def replay_mismatches(make_net, result):
+    """Re-derive every recorded transition on a fresh worklist simulator:
+    restore the source snapshot, step with the recorded choices, and
+    compare the successor snapshot, packed signals, events and
+    ``productive`` flag with what the explorer recorded.  Returns one
+    message per disagreeing transition (empty when all agree).
+
+    The exploration engines share one successor memo, so comparing them
+    with each other cannot catch a memo that hands a state the wrong
+    successors; this oracle recomputes each transition from scratch."""
+    from repro.sim.engine import Simulator
+    from repro.verif.encoding import pack_signals
+
+    net = make_net()
+    sim = Simulator(net, check_protocol=False, engine="worklist")
+    names = result.channel_names
+    problems = []
+    for i, t in enumerate(result.transitions):
+        net.restore(result.states[t.source][0])
+        events = sim.step_with_choices(t.choices)
+        signals = pack_signals(
+            {name: (ch.state.vp, ch.state.sp, ch.state.vm, ch.state.sm)
+             for name, ch in net.channels.items()}, names)
+        productive = any(ev.forward or ev.cancel or ev.backward
+                         for ev in events.values())
+        snapshot, packed = result.states[t.target]
+        for what, got, recorded in (("snapshot", net.snapshot(), snapshot),
+                                    ("signals", signals, packed),
+                                    ("events", events, t.events),
+                                    ("productive", productive, t.productive)):
+            if got != recorded:
+                problems.append(f"transition {i} ({t.source}->{t.target}, "
+                                f"{t.choices}): {what} differs")
+    return problems
+
+
+def _replay_designs():
+    from repro.designs import MC_DESIGNS
+
+    designs = [(name, factory, 100000)
+               for name, factory in sorted(MC_DESIGNS.items())]
+    designs.append(("spec-z2-kill-capped", lambda: patterns.speculative_mc(
+        n_zbl=2, can_kill_sink=True)[0], 400))
+    return designs
+
+
+class TestReplayOracle:
+    @pytest.mark.parametrize("lanes", [1, 8])
+    @pytest.mark.parametrize("name,factory,max_states", _replay_designs(),
+                             ids=[d[0] for d in _replay_designs()])
+    def test_every_transition_replays(self, name, factory, max_states,
+                                      lanes):
+        result = StateExplorer(factory(), max_states=max_states,
+                               lanes=lanes).explore()
+        assert result.transitions
+        assert result.complete == (max_states == 100000)
+        assert replay_mismatches(factory, result) == []
+
+    def test_oracle_catches_a_memo_keyed_by_signals(self):
+        """Mutant: the memo keyed by a state's packed signals instead of
+        its snapshot, so states that agree on last cycle's signals share
+        one (wrong) expansion.  Both engines would agree on it; the
+        oracle must not."""
+
+        class SignalsKeyedMemo(StateExplorer):
+            def _successor(self, *args):
+                succ = super()._successor(*args)
+                succ.code = succ.signals
+                return succ
+
+        def factory():
+            return patterns.speculative_mc(NondetScheduler(2))[0]
+
+        for lanes in (1, 8):
+            result = SignalsKeyedMemo(factory(), lanes=lanes).explore()
+            assert replay_mismatches(factory, result)

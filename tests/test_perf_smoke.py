@@ -250,6 +250,55 @@ def test_lane_batched_exploration_beats_scalar():
         f"(recorded benchmark: {recorded})"
     )
 
+# -- explorer successor-memo guard (timing-free) -------------------------------
+
+#: ``spec-nondet`` has 5328 transitions out of 257 states, but only 2304
+#: distinct ``(snapshot, choice-vector)`` expansions: states that differ
+#: only in last cycle's signals share their successors.
+SPEC_NONDET_TRANSITIONS = 5328
+SPEC_NONDET_FIXPOINTS = 2304
+
+
+def _count_explore_fixpoints(lanes):
+    """Explore ``spec-nondet`` counting fix-points: scalar
+    ``step_with_choices`` calls, or occupied lane slots of the batch
+    engine (idle padding lanes repeat the last real lane's choices dict,
+    so they are counted by identity and excluded)."""
+    from repro.designs import build_mc_design
+    from repro.verif.explore import StateExplorer
+
+    explorer = StateExplorer(build_mc_design("spec-nondet"), lanes=lanes)
+    count = [0]
+    if lanes == 1:
+        step = explorer.sim.step_with_choices
+
+        def counted(choices):
+            count[0] += 1
+            return step(choices)
+
+        explorer.sim.step_with_choices = counted
+    else:
+        step = explorer._batch.step_with_lane_choices
+
+        def counted(choices_per_lane):
+            count[0] += len({id(choices) for choices in choices_per_lane})
+            return step(choices_per_lane)
+
+        explorer._batch.step_with_lane_choices = counted
+    result = explorer.explore()
+    return len(result.transitions), count[0]
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_explorer_expands_each_snapshot_once(lanes):
+    """One fix-point per distinct ``(snapshot, choice-vector)`` pair, not
+    per transition — counted, not timed, so it fails on any machine if
+    the successor memo silently stops hitting."""
+    transitions, fixpoints = _count_explore_fixpoints(lanes)
+    assert transitions == SPEC_NONDET_TRANSITIONS
+    assert fixpoints == SPEC_NONDET_FIXPOINTS
+
+
 # -- codegen engine smoke (ISSUE 9) --------------------------------------------
 
 #: minimum acceptable quick-measurement codegen-vs-worklist speedup on the
