@@ -16,10 +16,17 @@ per *topology* in which
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
 * the cyclic residue (ZBL chains, lazy joins, speculation loops) and any
-  node kind without an emitter fall back to a generated **inner fix-point
-  loop** over the real ``comb()`` methods and ``ChannelState`` objects
+  node kind without an emitter fall back to a generated **event-driven
+  worklist** over the real ``comb()`` methods and ``ChannelState`` objects
   ("boxed" channels), preserving the monotone Kleene semantics and
-  :class:`~repro.errors.SignalConflictError` behaviour exactly;
+  :class:`~repro.errors.SignalConflictError` behaviour exactly.  It is
+  the worklist engine's loop restricted to the residue: every deferred
+  node is seeded once in levelized order, ``ChannelState.set`` logs each
+  signal a deferred ``comb()`` resolves, and only that signal's deferred
+  readers (a wake table baked into the module from their ``comb_reads()``)
+  run again — so the residue makes exactly the worklist engine's calls and
+  relies on the read declarations exactly as it does (the lint auditor
+  fuzzes them);
 * protocol monitoring, event resolution, statistics, observers and the
   core ``tick`` kernels are inlined into the same generated function, so
   a cycle is one Python call.
@@ -60,7 +67,13 @@ module is generated with per-node call counters and per-cycle eval/sweep
 histograms woven in, so ``Simulator(engine="codegen", profile=True)``
 supports :meth:`~repro.sim.engine.Simulator.profile_report` with the same
 report shape as the interpreted engines (straight-line nodes count one
-evaluation per cycle; the inner loop counts its real calls).
+evaluation per cycle; the residue counts its real calls; every cycle is
+one pass, ``sweeps_per_cycle`` 1, as on the worklist engine).
+
+Ownership follows the worklist rule: elaboration registers this
+backend's change log on every channel, and a backend whose first
+channel reports into another log refuses to step — a newer simulator of
+any engine owns the netlist.
 
 Emitter trust mirrors :func:`repro.sim.batch.resolve_batch_kernel`: a
 per-kind emitter is used only for node classes whose ``comb`` (or
@@ -76,7 +89,9 @@ import hashlib
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
     CONSUMER,
+    N_SIGNALS,
     PRODUCER,
+    SIG_INDEX,
     SIGNALS_BY_ROLE,
 )
 from repro.elastic.environment import (
@@ -608,7 +623,7 @@ class _Plan:
 
     __slots__ = (
         "nodes", "channels", "chan_idx", "port_channel", "writer",
-        "bound_ok", "task_order", "fast", "deferred", "boxed",
+        "bound_ok", "task_order", "fast", "deferred", "wake", "boxed",
         "pre_cycles", "choosers", "ticks",
     )
 
@@ -650,7 +665,7 @@ def _build_plan(netlist):
     # Signal-task scheduling.  Tasks of nodes with emitters are wired by
     # (channel, signal) and topologically sorted; a node any of whose tasks
     # is stuck — a read with no live producing task, or a genuine
-    # signal-level cycle — is demoted whole to the deferred fix-point loop,
+    # signal-level cycle — is demoted whole to the deferred residue,
     # and demotion cascades (its readers lose their producers) until the
     # remaining task graph is acyclic and fully sourced.
     specs = {}
@@ -694,20 +709,27 @@ def _build_plan(netlist):
 
     # Deferred nodes run in the levelized order of the node-level read
     # graph (cyclic regions seeded in declaration order by the Kahn scan
-    # fallback), like the worklist engine's seed pass.
+    # fallback), like the worklist engine's seed pass.  The same walk over
+    # the declared reads yields the residue's wake table: global signal id
+    # (``N_SIGNALS * channel + SIG_INDEX[signal]``, as logged by
+    # ``ChannelState.set``) -> positions in ``deferred`` of its readers.
     succ = [set() for _ in nodes]
+    readers = {}
     for ni, node in enumerate(nodes):
-        if not bound_ok[ni]:
-            continue
         for port, sig in node.comb_reads():
             ci = port_channel.get((node.name, port))
             if ci is None:
                 continue
+            readers.setdefault(N_SIGNALS * ci + SIG_INDEX[sig], []).append(ni)
             wi = writer.get((ci, sig))
             if wi is not None and wi != ni:
                 succ[wi].add(ni)
     order = levelize(range(len(nodes)), succ)
     plan.deferred = [ni for ni in order if ni in demoted]
+    position = {ni: k for k, ni in enumerate(plan.deferred)}
+    wake = plan.wake = [()] * (N_SIGNALS * len(channels))
+    for sid, nis in readers.items():
+        wake[sid] = tuple(position[ni] for ni in nis if ni in position)
 
     # A channel adjacent to any deferred (or missing) endpoint stays boxed
     # in its ChannelState; all other channels become flat locals.
@@ -852,32 +874,54 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         for ni in plan.fast:
             body.append(f"_cc[{ni}] += 1")
 
-    # -- cyclic residue: generated inner fix-point over the real comb() -----
+    # -- cyclic residue: event-driven worklist over the real comb() ---------
+    # Deferred comb() calls are the only writes that go through
+    # ChannelState.set, so the change log holds exactly what they resolved;
+    # every deferred node is seeded once in levelized order, then only the
+    # deferred readers of a logged signal are re-run (the worklist engine's
+    # loop, restricted to the residue).  Monotonicity bounds it: each
+    # signal is logged at most once per cycle.
     if plan.deferred:
-        # each productive sweep resolves >= 1 of the boxed signals
-        bound = 5 * max(len(boxed), 1) + 2
+        n_def = len(plan.deferred)
+        g.bind.update({
+            "_log": 'env["log"]',
+            "_dq": "deque",
+            "_wk": "_WAKE",
+            "_fd": "(" + "".join(f"_nodes[{ni}].comb, "
+                                 for ni in plan.deferred) + ")",
+            "_pd": f"bytearray({n_def})",     # pending flags, by position
+            "_pa": f"b'\\x01' * {n_def}",     # all pending: the seed pass
+            "_sd": f"range({n_def})",
+        })
         if profile:
-            body += ["_ne = 0", "_sw = 0"]
-        body.append(f"for _ in range({bound}):")
+            g.bind["_di"] = repr(tuple(plan.deferred))
+            body.append("_ne = 0")
+        body += [
+            "_log.clear()",
+            "_pd[:] = _pa",
+            "_q = _dq(_sd)",
+            "while _q:",
+            "    _k = _q.popleft()",
+            "    _pd[_k] = 0",
+            "    _fd[_k]()",
+        ]
         if profile:
-            body.append("    _sw += 1")
-        body.append("    _chg = False")
-        for ni in plan.deferred:
-            name = f"_f{ni}"
-            g.bind[name] = f"_nodes[{ni}].comb"
-            body += [f"    if {name}():", "        _chg = True"]
-            if profile:
-                body.append(f"    _cc[{ni}] += 1")
-        if profile:
-            body.append(f"    _ne += {len(plan.deferred)}")
-        body += ["    if not _chg:", "        break"]
+            body += ["    _cc[_di[_k]] += 1", "    _ne += 1"]
+        body += [
+            "    if _log:",
+            "        for _s in _log:",
+            "            for _j in _wk[_s]:",
+            "                if not _pd[_j]:",
+            "                    _pd[_j] = 1",
+            "                    _q.append(_j)",
+            "        _log.clear()",
+        ]
 
     if profile:
         extra = " + _ne" if plan.deferred else ""
-        sweeps = "_sw" if plan.deferred else "1"
         body += [
             f"_sim.evals_per_cycle.append({len(plan.fast)}{extra})",
-            f"_sim.sweeps_per_cycle.append({sweeps})",
+            "_sim.sweeps_per_cycle.append(1)",
         ]
 
     # -- flush locals into the ChannelState objects (observers, fallback
@@ -1009,6 +1053,11 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
         f"# flags: check_protocol={bool(check_protocol)}, "
         f"profile={bool(profile)}",
         "",
+    ]
+    if plan.deferred:
+        lines += ["from collections import deque", "",
+                  f"_WAKE = {tuple(plan.wake)!r}", ""]
+    lines += [
         "def build(env):",
         '    _nodes = env["nodes"]',
         '    _channels = env["channels"]',
@@ -1125,6 +1174,7 @@ class CodegenBackend:
             self.evals_per_cycle = []
             self.sweeps_per_cycle = []
         self._nodes = []
+        self._log = []
         self._elaborate()
         netlist.reset()
 
@@ -1137,10 +1187,12 @@ class CodegenBackend:
         self._channels = list(netlist.channels.values())
         self._choosers = [node for node in self._nodes
                           if type(node).choice_space is not Node.choice_space]
-        # Take ownership naive-style: detach any change log a previous
-        # worklist simulator registered (its step() will say so).
-        for channel in self._channels:
-            channel.state.log = None
+        # Take ownership worklist-style: every channel reports into this
+        # backend's change log (only deferred comb() calls write through
+        # ChannelState.set), so an older simulator's step() says so.
+        for ci, channel in enumerate(self._channels):
+            channel.state.base = N_SIGNALS * ci
+            channel.state.log = self._log
         if self.profile:
             counts = {node.name: calls for node, calls
                       in zip(prev_nodes, getattr(self, "comb_calls", []))}
@@ -1156,6 +1208,7 @@ class CodegenBackend:
             "backend": self,
             "netlist": netlist,
             "diagnose": self._diagnose,
+            "log": self._log,
             "EV_IDLE": _ev().EV_IDLE,
             "EV_CANCEL": _ev().EV_CANCEL,
             "EV_BACKWARD": _ev().EV_BACKWARD,
@@ -1191,11 +1244,11 @@ class CodegenBackend:
 
     def _check_ownership(self):
         channels = self._channels
-        if channels and channels[0].state.log is not None:
+        if channels and channels[0].state.log is not self._log:
             raise RuntimeError(
                 "netlist is now owned by a newer Simulator; this simulator "
-                "would bypass the new simulator's change log — construct a "
-                "fresh Simulator instead of reusing this one"
+                "can no longer observe signal changes — construct a fresh "
+                "Simulator instead of reusing this one"
             )
 
     def _diagnose(self, cycle):
@@ -1215,8 +1268,9 @@ class CodegenBackend:
         raise CombinationalLoopError(unresolved, cycle=cycle)
 
     def step(self):
-        # Ownership first: a dirty refresh would re-null the channel logs
-        # and silently steal the netlist back from a newer simulator.
+        # Ownership first: a dirty refresh would re-register this backend's
+        # change log and silently steal the netlist back from a newer
+        # simulator.
         self._check_ownership()
         if self._structures_dirty:
             self._refresh()

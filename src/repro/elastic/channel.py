@@ -37,12 +37,12 @@ Signal-change reporting
 
 :meth:`ChannelState.set` is the single funnel every combinational drive goes
 through.  Besides enforcing monotonicity it can *report* which signal
-changed: the event-driven simulation engine registers a shared change log
-(``state.log``) and a per-channel signal-id base (``state.base``); every
-``unknown -> known`` transition appends the global signal id
-``base + SIG_INDEX[name]`` to the log, which is what lets the engine enqueue
-exactly the nodes sensitive to that signal instead of re-sweeping the whole
-netlist.  When no log is registered (naive engine, unit tests) the append is
+changed: the event-driven engines (the worklist engine, and the codegen
+engine's cyclic residue) register a shared change log (``state.log``) and
+a per-channel signal-id base (``state.base``); every ``unknown -> known``
+transition appends the global signal id ``base + SIG_INDEX[name]`` to the
+log, which is what lets the engine enqueue exactly the nodes sensitive to
+that signal instead of re-sweeping the whole netlist.  When no log is registered (naive engine, unit tests) the append is
 skipped and behaviour is exactly the classic one.
 """
 
@@ -78,8 +78,9 @@ N_SIGNALS = len(ALL_SIGNALS)
 class ChannelState:
     """Per-cycle signal values of one channel (``None`` = unresolved).
 
-    ``base``/``log`` are the change-reporting hooks used by the worklist
-    engine (see the module docstring); both are inert by default.
+    ``base``/``log`` are the change-reporting hooks used by the
+    event-driven engines (see the module docstring); both are inert by
+    default.
     """
 
     __slots__ = ("vp", "sp", "vm", "sm", "data", "base", "log")

@@ -28,7 +28,11 @@ class Func(Node):
         Node name.
     fn:
         Python function of ``n_inputs`` positional arguments; its result is
-        the output token value.
+        the output token value.  It must be a *pure* function of its
+        arguments (the snapshot contract already requires this: node state
+        is ``_pk`` alone): every engine calls it at most once per cycle,
+        only while the output data is still unknown, so re-evaluations of
+        the fix-point never recompute it.
     n_inputs:
         Number of token inputs (ports ``i0 .. i{n-1}``).
     delay:
@@ -105,8 +109,8 @@ class Func(Node):
         # room on every input.
         room = all(pk < self.max_kills for pk in self._pk)
         changed |= self.drive("o", "sm", kite(all_avail, False, not room))
-        # Data.
-        if all_avail is True:
+        # Data: fn is pure, so it runs only while the output is unknown.
+        if all_avail is True and ost.data is None:
             args = [self._in(i).data for i in range(self.n_inputs)]
             if all(a is not None for a in args):
                 changed |= self.drive("o", "data", self.fn(*args))

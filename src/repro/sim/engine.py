@@ -77,10 +77,11 @@ other); multi-lane batches are built directly via
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
 netlist is *elaborated*: its acyclic majority (the same levelized order
 the worklist seeds with) is emitted as straight-line Python with channel
-signals in flat locals, the cyclic residue runs in a generated inner
-fix-point loop, and protocol monitoring / statistics / event resolution /
-core ``tick`` kernels are inlined into the same generated function — one
-Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
+signals in flat locals, the cyclic residue runs in a generated
+event-driven worklist off the same change log (so it makes exactly this
+engine's ``comb()`` calls there), and protocol monitoring / statistics /
+event resolution / core ``tick`` kernels are inlined into the same
+generated function — one Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
 once per topology and cached process-wide (sequential parameters are read
 at run time, so sweeps over one topology compile once); structural edits
 re-elaborate before the next step, never serving stale code.  Highest
@@ -491,10 +492,10 @@ class Simulator:
         self._check_resolved()
 
     def _fixpoint_naive(self):
-        # A newer worklist/batch simulator registers its change log on the
-        # channels; stepping this simulator afterwards would append change
-        # events into the *new* simulator's log.  Same ownership rule as
-        # the worklist engine: fail loudly instead.
+        # A newer worklist/batch/codegen simulator registers its change log
+        # on the channels; stepping this simulator afterwards would append
+        # change events into the *new* simulator's log.  Same ownership
+        # rule as the worklist engine: fail loudly instead.
         if self._channels and self._channels[0].state.log is not None:
             raise RuntimeError(
                 "netlist is now owned by a newer Simulator; this simulator "

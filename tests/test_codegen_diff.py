@@ -138,6 +138,24 @@ class TestPaperDesigns:
 
         assert_codegen_identical(make, cycles=200)
 
+    @pytest.mark.parametrize("point", [
+        "fig7b-error0.2", "fig6-speculative-arith0.6", "fig1d-bias0.6",
+    ])
+    def test_mispredicting_residue_identical(self, point):
+        """Speculative points that mispredict often: the residue resolves
+        the shared module, early-eval mux and recovery through many
+        signal-level wake-ups per cycle."""
+        from repro.perf.presets import fig1_point, fig6_point, fig7_point
+
+        makers = {
+            "fig7b-error0.2": lambda: fig7_point("fig7b", error_rate=0.2),
+            "fig6-speculative-arith0.6":
+                lambda: fig6_point("speculative", arith_fraction=0.6),
+            "fig1d-bias0.6": lambda: fig1_point("fig1d", bias=0.6),
+        }
+        assert_codegen_identical(lambda: makers[point]()[0], cycles=250,
+                                 sink=None)
+
 
 class TestProtocolViolationParity:
     """The inlined monitor must raise the *same* violation as the scalar
@@ -402,6 +420,28 @@ class TestStaleCodeSafety:
         with pytest.raises(RuntimeError, match="newer Simulator"):
             old.step()
         new.run(3)                         # the newer simulator still works
+
+    @pytest.mark.parametrize("older,newer", [
+        ("codegen", "worklist"), ("worklist", "codegen"),
+        ("codegen", "naive"), ("naive", "codegen"),
+    ])
+    def test_ownership_matrix(self, older, newer):
+        """One ownership rule across engines: whichever simulator was
+        built last owns the netlist; the older one refuses to step and
+        the newer one keeps producing the fresh-build result."""
+        def make():
+            return patterns.fig1d(lambda g: g % 2)[0]
+
+        net = make()
+        old = Simulator(net, engine=older)
+        old.run(3)
+        new = Simulator(net, engine=newer)
+        with pytest.raises(RuntimeError, match="newer Simulator"):
+            old.step()
+        new.run(40)
+        fresh_net = make()
+        fresh = Simulator(fresh_net, engine=newer).run(40)
+        assert _stats_dict(new) == _stats_dict(fresh)
 
 
 class TestModuleCache:

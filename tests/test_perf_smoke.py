@@ -363,6 +363,42 @@ def test_codegen_beats_worklist():
     )
 
 
+#: node kinds codegen evaluates in its event-driven residue on the paper's
+#: speculative designs (the loop around shared module and early-eval mux).
+RESIDUE_KINDS = ("fork", "func", "shared", "eemux")
+
+
+def _residue_point(name):
+    from repro.perf.presets import fig1_point, fig6_point, fig7_point
+
+    if name == "fig1d":
+        return fig1_point("fig1d")[0]
+    if name == "fig6-speculative":
+        return fig6_point("speculative")[0]
+    return fig7_point("fig7b")[0]
+
+
+@pytest.mark.parametrize("design", ["fig1d", "fig6-speculative", "fig7b"])
+def test_codegen_residue_evaluates_like_worklist(design):
+    """The residue wakes only the readers of signals that changed, so per
+    residue kind it makes exactly the worklist engine's ``comb()`` calls
+    (and no more in total) — counted, not timed, so it fails on any
+    machine if the residue falls back to re-sweeping."""
+    from repro.sim.engine import Simulator
+
+    reports = {}
+    for engine in ("worklist", "codegen"):
+        sim = Simulator(_residue_point(design), engine=engine, profile=True)
+        sim.run(200)
+        reports[engine] = sim.profile_report()
+    worklist, codegen = reports["worklist"], reports["codegen"]
+    for kind in RESIDUE_KINDS:
+        assert codegen.comb_calls_by_kind.get(kind) == \
+            worklist.comb_calls_by_kind.get(kind), kind
+    assert codegen.total_comb_calls <= worklist.total_comb_calls
+    assert codegen.sweeps_per_cycle == [1] * 200
+
+
 # -- serve result-cache smoke (ISSUE 8) ----------------------------------------
 
 #: minimum acceptable quick-measurement cache-hit speedup.  The ISSUE's
