@@ -10,13 +10,14 @@ per *topology* in which
 
 * the acyclic majority of the design (the same levelized writer->reader
   order the PR 1 worklist engine seeds with) becomes **straight-line
-  code** — each core node kind's kernel is inlined by a per-kind emitter,
-  evaluated exactly once per cycle, in dependency order;
+  code** — each node kind with a comb spec (:mod:`repro.elastic.spec`)
+  has it lowered to signal tasks, inlined and evaluated exactly once per
+  cycle, in dependency order;
 * channel signals of that region live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
 * the cyclic residue (ZBL chains, lazy joins, speculation loops) and any
-  node kind without an emitter fall back to a generated **event-driven
+  node kind without a comb spec fall back to a generated **event-driven
   worklist** over the real ``comb()`` methods and ``ChannelState`` objects
   ("boxed" channels), preserving the monotone Kleene semantics and
   :class:`~repro.errors.SignalConflictError` behaviour exactly.  It is
@@ -28,8 +29,8 @@ per *topology* in which
   relies on the read declarations exactly as it does (the lint auditor
   fuzzes them);
 * protocol monitoring, event resolution, statistics, observers and the
-  core ``tick`` kernels are inlined into the same generated function, so
-  a cycle is one Python call.
+  node kinds' ``tick`` emitters (``Node.emit_tick``) are inlined into the
+  same generated function, so a cycle is one Python call.
 
 The locals are flushed back into the ``ChannelState`` objects every cycle
 (before the monitor/event phases), so everything that inspects channel
@@ -75,36 +76,30 @@ backend's change log on every channel, and a backend whose first
 channel reports into another log refuses to step — a newer simulator of
 any engine owns the netlist.
 
-Emitter trust mirrors :func:`repro.sim.batch.resolve_batch_kernel`: a
-per-kind emitter is used only for node classes whose ``comb`` (or
-``tick``, for tick emitters) is *defined by* the class the emitter was
-written against — a subclass overriding ``comb`` falls back to the
-always-correct deferred evaluation of its own method.
+This module knows no node kind: signal tasks come from the node's comb
+spec and tick code from its ``emit_tick`` hook, both under the one trust
+rule of :func:`repro.elastic.spec.own_hook` — a spec counts only when it is
+defined at or below the class defining ``comb``, an emitter only at or
+below the class defining ``tick``.  A subclass overriding ``comb`` (or
+``tick``) without its own falls back to the always-correct deferred
+evaluation (or call) of its own method.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 
-from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import (
     CONSUMER,
+    CONTROL_SIGNALS,
     N_SIGNALS,
     PRODUCER,
     SIG_INDEX,
     SIGNALS_BY_ROLE,
 )
-from repro.elastic.environment import (
-    KillerSink,
-    NondetChoiceSource,
-    NondetSink,
-    NondetSource,
-    Sink,
-    _SourceBase,
-)
-from repro.elastic.fork import EagerFork
-from repro.elastic.functional import Func
 from repro.elastic.node import Node
+from repro.elastic.spec import TRUE, own_hook, spec_for, value_ports
 from repro.errors import CombinationalLoopError
 from repro.graphalg import levelize, toposort
 from repro.sim.monitors import ProtocolMonitor
@@ -120,23 +115,13 @@ __all__ = [
 #: signal name -> local-variable prefix for non-boxed channels.
 _LOC = {"vp": "v", "sp": "p", "vm": "a", "sm": "m", "data": "d"}
 
-_CONTROLS = ("vp", "sp", "vm", "sm")
-
-
-def _definer(cls, attr):
-    """The class in ``cls``'s MRO that defines ``attr`` (None if absent)."""
-    for k in cls.__mro__:
-        if attr in k.__dict__:
-            return k
-    return None
-
 
 # ---------------------------------------------------------------------------
-# per-kind code emitters
+# signal tasks, lowered from comb specs
 #
-# Each kind's comb() is split into *signal tasks*: (reads, writes, emitter)
+# A node's comb() is split into *signal tasks*: (reads, writes, emitter)
 # triples, where reads/writes are (port, signal) pairs and the emitter
-# appends straight-line statements computing exactly what the kernel drives
+# appends straight-line statements computing exactly what comb() drives
 # for those signals, via g.sig(node, port, signal) (a flat local for fast
 # channels, a ChannelState attribute for boxed ones).  Scheduling happens at
 # task granularity because that is where elastic control is acyclic: a ZBL
@@ -145,472 +130,130 @@ def _definer(cls, attr):
 # forward, sp/vm flow backward) — exactly the structure the worklist engine
 # discovers dynamically, resolved statically here.
 #
-# Every control signal listed in a task's writes MUST be assigned
-# unconditionally (the elaborator audits this); data writes are conditional,
-# mirroring drive()'s None no-op.  Tasks may not share scratch state — each
-# recomputes what it needs (locals with a leading underscore, which can
-# never collide with channel locals).
+# Tasks are derived from the node kind's comb spec (repro.elastic.spec):
+# the spec's outputs are grouped by identical read set, one task per group.
+# A fast task runs after the tasks producing its reads, so every control
+# signal it reads is known and the Kleene terms lower to two-valued Python
+# expressions.  Every control signal in a task's writes is assigned
+# unconditionally (the elaborator audits this); data writes are guarded,
+# mirroring drive()'s None no-op.  Tasks share no scratch state — each
+# recomputes the state terms it needs (locals with a leading underscore,
+# which never collide with channel locals).
 # ---------------------------------------------------------------------------
 
-
-def _comb_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if not {n}._offering and {n}._pending_start:",
-        f"    _v = {n}._next_value()",
-        "    if _v is not None:",
-        f"        {n}._offering = True",
-        f"        {n}._value = _v",
-        f"    {n}._pending_start = False",
-        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
-        f"if {n}._offering:",
-        f"    {g.sig(node, 'o', 'data')} = {n}._value",
-        f"{g.sig(node, 'o', 'sm')} = False",
-    ]
+_TASKS = {}
 
 
-def _tick_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
-    msg = f"source {node.name}: unbounded anti-token debt"
-    out += [
-        f"if {vp} and not {sp}:",
-        f"    {n}.emitted += 1",
-        f"    if {vm}:",
-        f"        {n}.killed += 1",
-        f"    {n}._offering = False",
-        f"    {n}._value = None",
-        f"elif {vm} and not {sm} and not {vp}:",
-        f"    {n}._skip += 1",
-        f"    if {n}._skip > {n}.max_skips:",
-        f"        raise AssertionError({msg!r})",
-        f"while {n}._skip > 0:",
-        f"    _v = {n}._next_value()",
-        "    if _v is None:",
-        "        break",
-        f"    {n}._skip -= 1",
-        f"    {n}.killed += 1",
-        f"    {n}.emitted += 1",
-    ]
-
-
-def _comb_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'i', 'sp')} = {n}._stall_now",
-        f"{g.sig(node, 'i', 'vm')} = False",
-    ]
-
-
-def _tick_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
-    out += [
-        f"if {vp} and not {sp} and not {vm}:",
-        f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
-        f"{n}._cycle += 1",
-    ]
-
-
-def _comb_killer_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'i', 'vm')} = {n}._killing",
-        f"{g.sig(node, 'i', 'sp')} = False if {n}._killing else {n}._stall_now",
-    ]
-
-
-def _tick_killer_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm, sm = (g.sig(node, "i", s) for s in _CONTROLS)
-    out += [
-        f"if {n}._killing and ({vp} or not {sm}):",
-        f"    {n}._killing = False",
-        f"    {n}.kills_sent += 1",
-        f"elif {vp} and not {sp} and not {vm}:",
-        f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
-        f"{n}._cycle += 1",
-    ]
-
-
-def _comb_nondet_source(g, ni, node, out, value_attr="_counter"):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'o', 'vp')} = {n}._offering",
-        f"if {n}._offering:",
-        f"    {g.sig(node, 'o', 'data')} = {n}.{value_attr}",
-        f"{g.sig(node, 'o', 'sm')} = False",
-    ]
-
-
-def _tick_nondet_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
-    out += [
-        f"if {vp} and not {sp}:",
-        f"    {n}._offering = False",
-        f"    {n}._counter += 1",
-        f"    {n}.emitted += 1",
-        f"elif {vm} and not {sm} and not {vp}:",
-        f"    {n}._counter += 1",
-    ]
-
-
-def _comb_nc_source(g, ni, node, out):
-    _comb_nondet_source(g, ni, node, out, value_attr="_value")
-
-
-def _tick_nc_source(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        f"    {n}._offering = False",
-        f"    {n}.emitted += 1",
-    ]
-
-
-def _comb_nondet_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._killing:",
-        f"    {g.sig(node, 'i', 'vm')} = True",
-        f"    {g.sig(node, 'i', 'sp')} = False",
-        "else:",
-        f"    {g.sig(node, 'i', 'vm')} = False",
-        f"    {g.sig(node, 'i', 'sp')} = {n}._choice == 1",
-    ]
-
-
-def _tick_nondet_sink(g, ni, node, out):
-    n = g.node_ref(ni)
-    vp, sp, vm, sm = (g.sig(node, "i", s) for s in _CONTROLS)
-    out += [
-        f"if {n}._killing:",
-        f"    if {vp} or not {sm}:",
-        f"        {n}._killing = False",
-        f"elif {vp} and not {sp} and not {vm}:",
-        f"    {n}.received += 1",
-    ]
-
-
-def _comb_eb(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"_x = {n}._wr - {n}._rd",
-        f"{g.sig(node, 'o', 'vp')} = _x >= 1",
-        "if _x >= 1:",
-        f"    {g.sig(node, 'o', 'data')} = {n}._store[{n}._rd]",
-        f"{g.sig(node, 'o', 'sm')} = _x <= -{n}.anti_capacity",
-        f"{g.sig(node, 'i', 'sp')} = _x >= {n}.capacity",
-        f"{g.sig(node, 'i', 'vm')} = _x <= -1",
-    ]
-
-
-def _tick_eb(g, ni, node, out):
-    n = g.node_ref(ni)
-    ivp, isp, ivm, ism = (g.sig(node, "i", s) for s in _CONTROLS)
-    ovp, osp, ovm, osm = (g.sig(node, "o", s) for s in _CONTROLS)
-    out += [
-        f"if {ivp} and not {isp}:",
-        f"    {n}._store[{n}._wr] = {g.sig(node, 'i', 'data')}",
-        f"    {n}._wr += 1",
-        f"elif {ivm} and not {ism}:",
-        f"    {n}._wr += 1",
-        f"if ({ovp} and not {osp}) or ({ovm} and not {osm}):",
-        f"    {n}._store.pop({n}._rd, None)",
-        f"    {n}._rd += 1",
-    ]
-
-
-def _zbl_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._full:",
-        f"    {g.sig(node, 'o', 'vp')} = True",
-        f"    {g.sig(node, 'o', 'data')} = {n}._value",
-        "else:",
-        f"    {g.sig(node, 'o', 'vp')} = False",
-    ]
-
-
-def _zbl_ivm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'vm')} = False if {n}._full "
-        f"else {g.sig(node, 'o', 'vm')}"
-    )
-
-
-def _zbl_osm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'o', 'sm')} = False if {n}._full "
-        f"else ({g.sig(node, 'i', 'sm')} if {g.sig(node, 'o', 'vm')} else False)"
-    )
-
-
-def _zbl_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'sp')} = "
-        f"({g.sig(node, 'o', 'sp')} and not {g.sig(node, 'o', 'vm')}) "
-        f"if {n}._full else False"
-    )
-
-
-def _tick_zbl(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._full and {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
-        f"    {n}._full = False",
-        f"    {n}._value = None",
-        f"if {g.sig(node, 'i', 'vp')} and not {g.sig(node, 'i', 'sp')} "
-        f"and not {g.sig(node, 'i', 'vm')}:",
-        f"    {n}._full = True",
-        f"    {n}._value = {g.sig(node, 'i', 'data')}",
-    ]
-
-
-def _func_avail(g, node):
-    return " and ".join(
-        f"({g.sig(node, f'i{k}', 'vp')} and _pk[{k}] == 0)"
-        for k in range(node.n_inputs)
-    )
-
-
-def _func_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    k_in = node.n_inputs
-    out += [
-        f"_pk = {n}._pk",
-        f"_av = {_func_avail(g, node)}",
-        f"{g.sig(node, 'o', 'vp')} = _av",
-        "if _av:",
-    ]
-    for k in range(k_in):
-        out.append(f"    _a{k} = {g.sig(node, f'i{k}', 'data')}")
-    known = " and ".join(f"_a{k} is not None" for k in range(k_in))
-    args = ", ".join(f"_a{k}" for k in range(k_in))
-    out += [
-        f"    if {known}:",
-        f"        {g.sig(node, 'o', 'data')} = {n}.fn({args})",
-    ]
-
-
-def _func_back(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"_pk = {n}._pk",
-        f"_fr = ({_func_avail(g, node)}) and not {g.sig(node, 'o', 'sp')}",
-    ]
-    for k in range(node.n_inputs):
-        p = f"i{k}"
-        out += [
-            f"if _pk[{k}] > 0:",
-            f"    {g.sig(node, p, 'vm')} = True",
-            f"    {g.sig(node, p, 'sp')} = False",
-            "else:",
-            f"    {g.sig(node, p, 'vm')} = False",
-            f"    {g.sig(node, p, 'sp')} = not _fr",
+def _signal_tasks(node):
+    """``[(reads, writes, emitter), ...]`` of ``node``'s trusted comb
+    spec (lowered once per spec), or ``None`` when it has none."""
+    spec = spec_for(node)
+    if spec is None:
+        return None
+    tasks = _TASKS.get(spec)
+    if tasks is None:
+        groups = {}
+        for port, signal in spec.outputs():
+            reads = spec.output_reads(port, signal)
+            groups.setdefault(frozenset(reads), (reads, []))[1].append(
+                (port, signal))
+        tasks = _TASKS[spec] = [
+            (reads, tuple(writes), _task_emitter(spec, writes))
+            for reads, writes in groups.values()
         ]
+    return tasks
 
 
-def _func_sm(g, ni, node, out):
-    n = g.node_ref(ni)
-    room = " and ".join(
-        f"_pk[{k}] < {n}.max_kills" for k in range(node.n_inputs)
-    )
-    out += [
-        f"_pk = {n}._pk",
-        f"{g.sig(node, 'o', 'sm')} = "
-        f"False if ({_func_avail(g, node)}) else not ({room})",
-    ]
+def _python(expr):
+    """A spec's Python expression over ``self`` as a format string over
+    the node reference ``{n}``."""
+    expr = expr.replace("{", "{{").replace("}", "}}")
+    return re.sub(r"\bself\b", "{n}", expr)
 
 
-def _tick_func(g, ni, node, out):
-    n = g.node_ref(ni)
-    ovp, ovm, osm = (g.sig(node, "o", s) for s in ("vp", "vm", "sm"))
-    msg = f"Func {node.name}: kill counter out of range"
-    out += [
-        f"_ab = {ovm} and not {osm} and not {ovp}",
-        f"_pk = {n}._pk",
-    ]
-    for k in range(node.n_inputs):
-        p = f"i{k}"
-        vp, vm, sm = (g.sig(node, p, s) for s in ("vp", "vm", "sm"))
-        out += [
-            f"if {vm} and ({vp} or not {sm}):",
-            f"    _pk[{k}] -= 1",
-            "if _ab:",
-            f"    _pk[{k}] += 1",
-            f"if _pk[{k}] < 0 or _pk[{k}] > {n}.max_kills:",
-            f"    raise AssertionError({msg!r})",
-        ]
+def _task_emitter(spec, writes):
+    """Lower one task to ``str.format`` lines over ``{n}`` (the node) and
+    ``{port_signal}`` (channel signals), and return its emitter.
 
+    A state term or composite subterm used more than once in the task is
+    computed once into a local; a term an earlier write of the task
+    already holds is read back from that signal.
+    """
+    uses = {}
+    held = set()         # terms already held by a write of this task
 
-def _fork_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    ivp, idata = g.sig(node, "i", "vp"), g.sig(node, "i", "data")
-    out += [f"_pk = {n}._pk", f"_dn = {n}._done"]
-    for k in range(node.n_outputs):
-        p = f"o{k}"
-        out += [
-            f"_v = {ivp} and not (_dn[{k}] or _pk[{k}] > 0)",
-            f"{g.sig(node, p, 'vp')} = _v",
-            f"if {ivp} and {idata} is not None:",
-            f"    {g.sig(node, p, 'data')} = {idata}",
-            f"{g.sig(node, p, 'sm')} = False if _v else _pk[{k}] >= {n}.max_kills",
-        ]
+    def count(term):
+        if term in held or term[0] in ("const", "sig"):
+            return
+        uses[term] = uses.get(term, 0) + 1
+        if uses[term] == 1 and term[0] != "state":
+            for sub in term[1:]:
+                count(sub)
 
+    for port, signal in writes:
+        term = spec.output_term(port, signal)
+        count(term)
+        if signal != "data":
+            held.add(term)
+    lines = []
+    memo = {}
+    pairs = set(writes)      # channel signals the lines reference
 
-def _fork_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    k_out = node.n_outputs
-    ivp = g.sig(node, "i", "vp")
-    out += [f"_pk = {n}._pk", f"_dn = {n}._done"]
-    for k in range(k_out):
-        out += [
-            f"_e = _dn[{k}] or _pk[{k}] > 0",
-            f"_b{k} = _e or (({ivp} and not _e) "
-            f"and not {g.sig(node, f'o{k}', 'sp')})",
-        ]
-    all_ok = " and ".join(f"_b{k}" for k in range(k_out))
-    out.append(f"{g.sig(node, 'i', 'sp')} = not ({ivp} and {all_ok})")
+    def expr(term):
+        if term in memo:
+            return memo[term]
+        op = term[0]
+        if op == "const":
+            return repr(term[1])
+        if op == "sig":
+            pairs.add((term[1], term[2]))
+            return f"{{{term[1]}_{term[2]}}}"
+        if op == "state":
+            code = _python(spec.state[term[1]])
+        elif op == "not":
+            code = f"not {expr(term[1])}"
+        elif op in ("and", "or"):
+            code = f"{expr(term[1])} {op} {expr(term[2])}"
+        else:
+            code = f"{expr(term[2])} if {expr(term[1])} else {expr(term[3])}"
+        if uses.get(term, 0) > 1:
+            local = memo[term] = f"_z{len(memo)}"
+            lines.append(f"{local} = {code}")
+            return local
+        return f"({code})"
 
+    for port, signal in writes:
+        target = f"{{{port}_{signal}}}"
+        if signal != "data":
+            term = spec.signals[(port, signal)]
+            lines.append(f"{target} = {expr(term)}")
+            memo[term] = target
+            continue
+        guard, val = spec.data[port]
+        pairs.update((arg, "data") for arg in value_ports(val))
+        args = [f"{{{arg}_data}}" for arg in value_ports(val)]
+        tests = [] if guard == TRUE else [expr(guard)]
+        tests += [f"{arg} is not None" for arg in args]
+        if val[0] == "data":
+            rhs = args[0]
+        elif val[0] == "call":
+            rhs = f"{{n}}.{val[1]}({', '.join(args)})"
+        else:
+            rhs = _python(val[1])
+        if tests:
+            lines += [f"if {' and '.join(tests)}:", f"    {target} = {rhs}"]
+        else:
+            lines.append(f"{target} = {rhs}")
+    uses_node = any("{n}" in line for line in lines)
 
-def _fork_ivm(g, ni, node, out):
-    out.append(f"{g.sig(node, 'i', 'vm')} = False")
+    def emit(g, ni, node, out):
+        mapping = {f"{port}_{signal}": g.sig(node, port, signal)
+                   for port, signal in pairs}
+        if uses_node:
+            mapping["n"] = g.node_ref(ni)
+        out += [line.format_map(mapping) for line in lines]
 
-
-def _tick_fork(g, ni, node, out):
-    n = g.node_ref(ni)
-    k_out = node.n_outputs
-    out += [
-        f"_tk = {g.sig(node, 'i', 'vp')}",
-        f"_pk = {n}._pk",
-        f"_dn = {n}._done",
-    ]
-    for k in range(k_out):
-        p = f"o{k}"
-        vp, sp, vm, sm = (g.sig(node, p, s) for s in _CONTROLS)
-        out += [
-            f"if _tk and _pk[{k}] > 0 and not _dn[{k}]:",
-            f"    _dn[{k}] = True",
-            f"    _pk[{k}] -= 1",
-            f"_b{k} = {vp} and not {sp}",
-            f"if {vm} and not {sm} and not {vp}:",
-            f"    _pk[{k}] += 1",
-        ]
-    for k in range(k_out):
-        out += [f"if _b{k}:", f"    _dn[{k}] = True"]
-    all_done = " and ".join(f"_dn[{k}]" for k in range(k_out))
-    out.append(f"if _tk and {all_done}:")
-    for k in range(k_out):
-        out.append(f"    _dn[{k}] = False")
-
-
-# -- task specs: node instance -> [(reads, writes, emitter), ...] -----------
-#
-# reads/writes are (port, signal) pairs; the scheduler wires tasks by
-# resolving them to (channel, signal).  Control signals in `writes` are
-# assigned unconditionally by the emitter; data writes are conditional.
-
-
-def _spec_eb(node):
-    return [((),
-             (("o", "vp"), ("o", "data"), ("o", "sm"),
-              ("i", "sp"), ("i", "vm")),
-             _comb_eb)]
-
-
-def _spec_zbl(node):
-    return [
-        ((), (("o", "vp"), ("o", "data")), _zbl_fwd),
-        ((("o", "vm"),), (("i", "vm"),), _zbl_ivm),
-        ((("o", "vm"), ("i", "sm")), (("o", "sm"),), _zbl_osm),
-        ((("o", "sp"), ("o", "vm")), (("i", "sp"),), _zbl_isp),
-    ]
-
-
-def _spec_func(node):
-    ins = [f"i{k}" for k in range(node.n_inputs)]
-    vp_reads = tuple((p, "vp") for p in ins)
-    return [
-        (vp_reads + tuple((p, "data") for p in ins),
-         (("o", "vp"), ("o", "data")), _func_fwd),
-        (vp_reads + (("o", "sp"),),
-         tuple((p, s) for p in ins for s in ("vm", "sp")), _func_back),
-        (vp_reads, (("o", "sm"),), _func_sm),
-    ]
-
-
-def _spec_fork(node):
-    k_out = node.n_outputs
-    return [
-        ((("i", "vp"), ("i", "data")),
-         tuple((f"o{k}", s) for k in range(k_out)
-               for s in ("vp", "data", "sm")),
-         _fork_fwd),
-        ((("i", "vp"),) + tuple((f"o{k}", "sp") for k in range(k_out)),
-         (("i", "sp"),), _fork_isp),
-        ((), (("i", "vm"),), _fork_ivm),
-    ]
-
-
-def _spec_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_source)]
-
-
-def _spec_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_sink)]
-
-
-def _spec_killer_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_killer_sink)]
-
-
-def _spec_nondet_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")),
-             _comb_nondet_source)]
-
-
-def _spec_nc_source(node):
-    return [((), (("o", "vp"), ("o", "data"), ("o", "sm")), _comb_nc_source)]
-
-
-def _spec_nondet_sink(node):
-    return [((), (("i", "sp"), ("i", "vm")), _comb_nondet_sink)]
-
-
-#: comb-definer class -> task-spec builder (see the module docstring on trust).
-_COMB_TASKS = {
-    ElasticBuffer: _spec_eb,
-    ZeroBackwardLatencyBuffer: _spec_zbl,
-    Func: _spec_func,
-    EagerFork: _spec_fork,
-    _SourceBase: _spec_source,
-    Sink: _spec_sink,
-    KillerSink: _spec_killer_sink,
-    NondetSource: _spec_nondet_source,
-    NondetChoiceSource: _spec_nc_source,
-    NondetSink: _spec_nondet_sink,
-}
-
-#: tick-definer class -> tick emitter.
-_TICK_EMITTERS = {
-    ElasticBuffer: _tick_eb,
-    ZeroBackwardLatencyBuffer: _tick_zbl,
-    Func: _tick_func,
-    EagerFork: _tick_fork,
-    _SourceBase: _tick_source,
-    Sink: _tick_sink,
-    KillerSink: _tick_killer_sink,
-    NondetSource: _tick_nondet_source,
-    NondetChoiceSource: _tick_nc_source,
-    NondetSink: _tick_nondet_sink,
-}
+    return emit
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +305,7 @@ def _build_plan(netlist):
             for sig in SIGNALS_BY_ROLE[CONSUMER]:
                 writer[(ci, sig)] = node_idx[ch.consumer[0]]
 
-    # Signal-task scheduling.  Tasks of nodes with emitters are wired by
+    # Signal-task scheduling.  Tasks of nodes with comb specs are wired by
     # (channel, signal) and topologically sorted; a node any of whose tasks
     # is stuck — a read with no live producing task, or a genuine
     # signal-level cycle — is demoted whole to the deferred residue,
@@ -670,9 +313,9 @@ def _build_plan(netlist):
     # remaining task graph is acyclic and fully sourced.
     specs = {}
     for ni, node in enumerate(nodes):
-        spec_fn = _COMB_TASKS.get(_definer(type(node), "comb"))
-        if spec_fn is not None and bound_ok[ni]:
-            specs[ni] = spec_fn(node)
+        tasks = _signal_tasks(node) if bound_ok[ni] else None
+        if tasks is not None:
+            specs[ni] = tasks
     demoted = set(ni for ni in range(len(nodes)) if ni not in specs)
     task_order = []
     while True:
@@ -1006,7 +649,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
     # -- clock edge ---------------------------------------------------------
     for ni in plan.ticks:
         node = nodes[ni]
-        emitter = _TICK_EMITTERS.get(_definer(type(node), "tick"))
+        emitter = own_hook(type(node), "emit_tick", anchor="tick")
         if emitter is not None and plan.bound_ok[ni]:
             body.append(f"# tick {node.name} ({node.kind})")
             emitter(g, ni, node, body)
@@ -1020,7 +663,7 @@ def _generate_source(netlist, check_protocol, profile, content_hash):
     # -- audit: every fast channel's four controls must be written
     # -- unconditionally by the straight-line region ------------------------
     for ci in fast_channels:
-        for sig in _CONTROLS:
+        for sig in CONTROL_SIGNALS:
             if (ci, sig) not in g.covered:
                 raise AssertionError(
                     f"pysim elaboration bug: {channels[ci].name}.{sig} is not "

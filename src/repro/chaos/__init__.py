@@ -19,9 +19,6 @@ package attacks both promises on purpose:
   :func:`run_soak` (checkpointed many-plan soak);
 * :mod:`repro.chaos.mutants` — intentionally broken designs pinning
   that the oracles *can* fail.
-
-Importing this package also registers the saboteurs' codegen emitters
-with :mod:`repro.backend.pysim`.
 """
 
 from repro.chaos.mutants import (

@@ -17,10 +17,12 @@ The three saboteurs below make that theorem executable:
   streams; corruption must be *visible* (or repaired by fig7-style
   replay) — both directions are checked by :mod:`repro.chaos.verify`.
 
-Every saboteur is implemented for all four engines: scalar ``comb()``,
-a batched Kleene kernel (``batch_comb``), and codegen signal tasks
-registered with :mod:`repro.backend.pysim` at the bottom of this module.
-The differential fuzz suites pin the four bit-identical.
+Every saboteur runs on all four engines like any core node kind: the
+scalar ``comb()`` is the reference, and a ``comb_spec()`` next to it
+describes the same function for the batch kernel, codegen signal tasks
+and read set derived from it (:mod:`repro.elastic.spec`); the codegen
+tick emitter sits next to ``tick()``.  The differential fuzz suites pin
+the four bit-identical.
 
 Saboteurs obey the SELF protocol (Retry+/Retry-/Invariant hold on both
 sides): an injection may only *begin* on a cycle where it does not
@@ -40,9 +42,22 @@ from __future__ import annotations
 
 import random
 
-from repro.elastic.channel import iter_lanes
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, kor, mand, mite, mnot, mor
+from repro.elastic.spec import (
+    FALSE,
+    TRUE,
+    CombSpec,
+    and_,
+    call,
+    data,
+    ite,
+    not_,
+    or_,
+    sig,
+    state,
+    value,
+)
+from repro.kleene import kand, kite, knot, kor
 
 
 def _seed_rng(seed):
@@ -108,10 +123,6 @@ class StallInjector(_Saboteur):
             self._stall_now = (eligible and self.rate > 0
                                and self._rng.random() < self.rate)
 
-    def comb_reads(self):
-        return [("i", "vp"), ("i", "data"), ("i", "sm"),
-                ("o", "sp"), ("o", "vm")]
-
     def comb(self):
         changed = False
         ist = self.st("i")
@@ -130,37 +141,20 @@ class StallInjector(_Saboteur):
             "i", "sp", kand(kor(ost.sp, self._stall_now), knot(ost.vm)))
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        stall = cache.get("stall")
-        if stall is None:
-            stall = 0
-            for lane, node in enumerate(ctx.lanes):
-                if node._stall_now:
-                    stall |= 1 << lane
-            cache["stall"] = stall
-        pas = full & ~stall
-        if full & ~o.vp_k:
-            vp_k = stall | (i.vp_k & pas)
-            if vp_k & ~o.vp_k:
-                o.set_mask("vp", vp_k, i.vp_v & pas)
-        for lane in iter_lanes(pas & i.vp_v & i.data_k & ~o.data_k):
-            o.set_data(lane, i.data[lane])
-        if full & ~o.sm_k:
-            if i.sm_k & ~o.sm_k:
-                o.set_mask("sm", i.sm_k, i.sm_v)
-        if full & ~i.vm_k:
-            if o.vm_k & ~i.vm_k:
-                i.set_mask("vm", o.vm_k, o.vm_v)
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand(mor((o.sp_k, o.sp_v), (full, stall)),
-                              mnot((o.vm_k, o.vm_v)))
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, sp_v)
+    def comb_spec(self):
+        stall = state("stall")
+        ivp = sig("i", "vp")
+        ovm = sig("o", "vm")
+        return CombSpec(
+            state={"stall": "self._stall_now"},
+            signals={
+                ("o", "vp"): ite(stall, FALSE, ivp),
+                ("o", "sm"): sig("i", "sm"),
+                ("i", "vm"): ovm,
+                ("i", "sp"): and_(or_(sig("o", "sp"), stall), not_(ovm)),
+            },
+            data={"o": (and_(not_(stall), ivp), data("i"))},
+        )
 
     def tick(self):
         ost = self.st("o")
@@ -169,6 +163,19 @@ class StallInjector(_Saboteur):
             if self._budget > 0:
                 self._budget -= 1
         self._pending_out = bool(ost.vp and ost.sp and not ost.vm)
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        ovp, osp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
+        ovm = g.sig(node, "o", "vm")
+        out += [
+            f"if {n}._stall_now:",
+            f"    {n}.stalls += 1",
+            f"    if {n}._budget > 0:",
+            f"        {n}._budget -= 1",
+            f"{n}._pending_out = bool({ovp} and {osp} and not {ovm})",
+        ]
 
 
 class BubbleInjector(_Saboteur):
@@ -221,9 +228,6 @@ class BubbleInjector(_Saboteur):
             self._bubble_now = (eligible and self.rate > 0
                                 and self._rng.random() < self.rate)
 
-    def comb_reads(self):
-        return [("o", "sp"), ("o", "vm"), ("i", "sm")]
-
     def comb(self):
         changed = False
         ost = self.st("o")
@@ -248,45 +252,23 @@ class BubbleInjector(_Saboteur):
             changed |= self.drive("i", "sp", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        masks = cache.get("bubble")
-        if masks is None:
-            occupied = bubbling = 0
-            for lane, node in enumerate(ctx.lanes):
-                bit = 1 << lane
-                if node._full:
-                    occupied |= bit
-                if node._bubble_now:
-                    bubbling |= bit
-            masks = cache["bubble"] = (occupied, bubbling)
-        occupied, bubbling = masks
-        offering = occupied & ~bubbling
-        holding = occupied & bubbling
-        empty = full & ~occupied
-        ovm = (o.vm_k, o.vm_v)
-        if full & ~o.vp_k:
-            o.set_mask("vp", full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand((o.sp_k, o.sp_v), mnot(ovm))
-            sp_k = (sp_k & offering) | holding | empty
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, (sp_v & offering) | holding)
-        if full & ~i.vm_k:
-            vm_k = occupied | (o.vm_k & empty)
-            if vm_k & ~i.vm_k:
-                i.set_mask("vm", vm_k, o.vm_v & empty)
-        if full & ~o.sm_k:
-            sm_k, sm_v = mite(ovm, (i.sm_k, i.sm_v), (full, 0))
-            sm_k = occupied | (sm_k & empty)
-            if sm_k & ~o.sm_k:
-                o.set_mask("sm", sm_k, sm_v & empty)
+    def comb_spec(self):
+        full = state("full")
+        bubble = state("bubble")
+        ovm = sig("o", "vm")
+        offering = and_(full, not_(bubble))
+        return CombSpec(
+            state={"full": "self._full", "bubble": "self._bubble_now"},
+            signals={
+                ("o", "vp"): offering,
+                ("o", "sm"): ite(full, FALSE, ite(ovm, sig("i", "sm"), FALSE)),
+                ("i", "vm"): ite(full, FALSE, ovm),
+                ("i", "sp"): ite(full, ite(bubble, TRUE,
+                                           and_(sig("o", "sp"), not_(ovm))),
+                                 FALSE),
+            },
+            data={"o": (offering, value("self._value"))},
+        )
 
     def tick(self):
         ist = self.st("i")
@@ -307,6 +289,26 @@ class BubbleInjector(_Saboteur):
             self._full = True
             self._value = ist.data
         self._pending_out = bool(ost.vp and ost.sp and not ost.vm)
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        ivp, isp, ivm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
+        ovp, osp, ovm = (g.sig(node, "o", s) for s in ("vp", "sp", "vm"))
+        out += [
+            f"_ann = {n}._full and {n}._bubble_now and {ovm}",
+            f"if {n}._bubble_now:",
+            f"    {n}.bubbles += 1",
+            f"    if {n}._budget > 0:",
+            f"        {n}._budget -= 1",
+            f"if {n}._full and (({ovp} and not {osp}) or _ann):",
+            f"    {n}._full = False",
+            f"    {n}._value = None",
+            f"if {ivp} and not {isp} and not {ivm}:",
+            f"    {n}._full = True",
+            f"    {n}._value = {g.sig(node, 'i', 'data')}",
+            f"{n}._pending_out = bool({ovp} and {osp} and not {ovm})",
+        ]
 
 
 class StateCorruptor(_Saboteur):
@@ -358,10 +360,6 @@ class StateCorruptor(_Saboteur):
             return value ^ m
         return value
 
-    def comb_reads(self):
-        return [("i", "vp"), ("i", "data"), ("i", "sm"),
-                ("o", "sp"), ("o", "vm")]
-
     def comb(self):
         changed = False
         ist = self.st("i")
@@ -374,25 +372,17 @@ class StateCorruptor(_Saboteur):
         changed |= self.drive("i", "sp", ost.sp)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        if full & ~o.vp_k:
-            if i.vp_k & ~o.vp_k:
-                o.set_mask("vp", i.vp_k, i.vp_v)
-        for lane in iter_lanes(i.vp_v & i.data_k & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._corrupt(i.data[lane]))
-        if full & ~o.sm_k:
-            if i.sm_k & ~o.sm_k:
-                o.set_mask("sm", i.sm_k, i.sm_v)
-        if full & ~i.vm_k:
-            if o.vm_k & ~i.vm_k:
-                i.set_mask("vm", o.vm_k, o.vm_v)
-        if full & ~i.sp_k:
-            if o.sp_k & ~i.sp_k:
-                i.set_mask("sp", o.sp_k, o.sp_v)
+    def comb_spec(self):
+        ivp = sig("i", "vp")
+        return CombSpec(
+            signals={
+                ("o", "vp"): ivp,
+                ("o", "sm"): sig("i", "sm"),
+                ("i", "vm"): sig("o", "vm"),
+                ("i", "sp"): sig("o", "sp"),
+            },
+            data={"o": (ivp, call("_corrupt", "i"))},
+        )
 
     def tick(self):
         ost = self.st("o")
@@ -404,190 +394,23 @@ class StateCorruptor(_Saboteur):
                     self._budget -= 1
             self._idx += 1
 
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        ovp, osp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
+        ovm = g.sig(node, "o", "vm")
+        out += [
+            f"if {ovp} and not {osp}:",
+            f"    if not {ovm} and {n}._decide():",
+            f"        {n}.corrupted += 1",
+            f"        if {n}._budget > 0:",
+            f"            {n}._budget -= 1",
+            f"    {n}._idx += 1",
+        ]
+
 
 SABOTEUR_KINDS = {
     "stall": StallInjector,
     "bubble": BubbleInjector,
     "corrupt": StateCorruptor,
 }
-
-
-# ---------------------------------------------------------------------------
-# codegen signal tasks (engine="codegen")
-#
-# Registered directly into the pysim emitter tables, keyed by the class
-# defining comb()/tick() — pysim never imports this module, so there is no
-# import cycle; importing repro.chaos is what arms codegen support.
-# ---------------------------------------------------------------------------
-
-
-def _stall_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._stall_now:",
-        f"    {g.sig(node, 'o', 'vp')} = False",
-        "else:",
-        f"    {g.sig(node, 'o', 'vp')} = {g.sig(node, 'i', 'vp')}",
-        f"    if {g.sig(node, 'i', 'vp')} and "
-        f"{g.sig(node, 'i', 'data')} is not None:",
-        f"        {g.sig(node, 'o', 'data')} = {g.sig(node, 'i', 'data')}",
-    ]
-
-
-def _stall_osm(g, ni, node, out):
-    out.append(f"{g.sig(node, 'o', 'sm')} = {g.sig(node, 'i', 'sm')}")
-
-
-def _stall_ivm(g, ni, node, out):
-    out.append(f"{g.sig(node, 'i', 'vm')} = {g.sig(node, 'o', 'vm')}")
-
-
-def _stall_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'sp')} = "
-        f"({n}._stall_now or {g.sig(node, 'o', 'sp')}) "
-        f"and not {g.sig(node, 'o', 'vm')}"
-    )
-
-
-def _spec_stall(node):
-    return [
-        ((("i", "vp"), ("i", "data")), (("o", "vp"), ("o", "data")),
-         _stall_fwd),
-        ((("i", "sm"),), (("o", "sm"),), _stall_osm),
-        ((("o", "vm"),), (("i", "vm"),), _stall_ivm),
-        ((("o", "sp"), ("o", "vm")), (("i", "sp"),), _stall_isp),
-    ]
-
-
-def _tick_stall(g, ni, node, out):
-    n = g.node_ref(ni)
-    ovp, osp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    ovm = g.sig(node, "o", "vm")
-    out += [
-        f"if {n}._stall_now:",
-        f"    {n}.stalls += 1",
-        f"    if {n}._budget > 0:",
-        f"        {n}._budget -= 1",
-        f"{n}._pending_out = bool({ovp} and {osp} and not {ovm})",
-    ]
-
-
-def _bubble_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"if {n}._full and not {n}._bubble_now:",
-        f"    {g.sig(node, 'o', 'vp')} = True",
-        f"    {g.sig(node, 'o', 'data')} = {n}._value",
-        "else:",
-        f"    {g.sig(node, 'o', 'vp')} = False",
-    ]
-
-
-def _bubble_ivm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'vm')} = False if {n}._full "
-        f"else {g.sig(node, 'o', 'vm')}"
-    )
-
-
-def _bubble_osm(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'o', 'sm')} = False if {n}._full "
-        f"else ({g.sig(node, 'i', 'sm')} if {g.sig(node, 'o', 'vm')} else False)"
-    )
-
-
-def _bubble_isp(g, ni, node, out):
-    n = g.node_ref(ni)
-    out.append(
-        f"{g.sig(node, 'i', 'sp')} = "
-        f"(True if {n}._bubble_now else "
-        f"({g.sig(node, 'o', 'sp')} and not {g.sig(node, 'o', 'vm')})) "
-        f"if {n}._full else False"
-    )
-
-
-def _spec_bubble(node):
-    return [
-        ((), (("o", "vp"), ("o", "data")), _bubble_fwd),
-        ((("o", "vm"),), (("i", "vm"),), _bubble_ivm),
-        ((("o", "vm"), ("i", "sm")), (("o", "sm"),), _bubble_osm),
-        ((("o", "sp"), ("o", "vm")), (("i", "sp"),), _bubble_isp),
-    ]
-
-
-def _tick_bubble(g, ni, node, out):
-    n = g.node_ref(ni)
-    ivp, isp, ivm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
-    ovp, osp, ovm = (g.sig(node, "o", s) for s in ("vp", "sp", "vm"))
-    out += [
-        f"_ann = {n}._full and {n}._bubble_now and {ovm}",
-        f"if {n}._bubble_now:",
-        f"    {n}.bubbles += 1",
-        f"    if {n}._budget > 0:",
-        f"        {n}._budget -= 1",
-        f"if {n}._full and (({ovp} and not {osp}) or _ann):",
-        f"    {n}._full = False",
-        f"    {n}._value = None",
-        f"if {ivp} and not {isp} and not {ivm}:",
-        f"    {n}._full = True",
-        f"    {n}._value = {g.sig(node, 'i', 'data')}",
-        f"{n}._pending_out = bool({ovp} and {osp} and not {ovm})",
-    ]
-
-
-def _corrupt_fwd(g, ni, node, out):
-    n = g.node_ref(ni)
-    out += [
-        f"{g.sig(node, 'o', 'vp')} = {g.sig(node, 'i', 'vp')}",
-        f"if {g.sig(node, 'i', 'vp')} and "
-        f"{g.sig(node, 'i', 'data')} is not None:",
-        f"    {g.sig(node, 'o', 'data')} = "
-        f"{n}._corrupt({g.sig(node, 'i', 'data')})",
-    ]
-
-
-def _corrupt_isp(g, ni, node, out):
-    out.append(f"{g.sig(node, 'i', 'sp')} = {g.sig(node, 'o', 'sp')}")
-
-
-def _spec_corrupt(node):
-    return [
-        ((("i", "vp"), ("i", "data")), (("o", "vp"), ("o", "data")),
-         _corrupt_fwd),
-        ((("i", "sm"),), (("o", "sm"),), _stall_osm),
-        ((("o", "vm"),), (("i", "vm"),), _stall_ivm),
-        ((("o", "sp"),), (("i", "sp"),), _corrupt_isp),
-    ]
-
-
-def _tick_corrupt(g, ni, node, out):
-    n = g.node_ref(ni)
-    ovp, osp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
-    ovm = g.sig(node, "o", "vm")
-    out += [
-        f"if {ovp} and not {osp}:",
-        f"    if not {ovm} and {n}._decide():",
-        f"        {n}.corrupted += 1",
-        f"        if {n}._budget > 0:",
-        f"            {n}._budget -= 1",
-        f"    {n}._idx += 1",
-    ]
-
-
-def _register_codegen():
-    from repro.backend import pysim
-
-    pysim._COMB_TASKS[StallInjector] = _spec_stall
-    pysim._TICK_EMITTERS[StallInjector] = _tick_stall
-    pysim._COMB_TASKS[BubbleInjector] = _spec_bubble
-    pysim._TICK_EMITTERS[BubbleInjector] = _tick_bubble
-    pysim._COMB_TASKS[StateCorruptor] = _spec_corrupt
-    pysim._TICK_EMITTERS[StateCorruptor] = _tick_corrupt
-
-
-_register_codegen()

@@ -22,9 +22,19 @@ followed by an anti-token (``0 = 1 - 1``, Section 3.3).
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
+from repro.elastic.channel import CONTROL_SIGNALS
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, mand, mite, mnot
+from repro.elastic.spec import (
+    FALSE,
+    CombSpec,
+    and_,
+    ite,
+    not_,
+    sig,
+    state,
+    value,
+)
+from repro.kleene import kand, kite, knot
 
 
 class ElasticBuffer(Node):
@@ -102,11 +112,6 @@ class ElasticBuffer(Node):
 
     # -- combinational behaviour (all driven from registered state) -----------
 
-    def comb_reads(self):
-        # Fully registered: comb() is a function of the wr/rd pointers only,
-        # so the worklist engine never needs to re-evaluate it within a cycle.
-        return []
-
     def comb(self):
         changed = False
         c = self.count
@@ -125,33 +130,25 @@ class ElasticBuffer(Node):
         changed |= self.drive("i", "vm", c <= -1)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the four control decisions become
-        occupancy-threshold masks built in one pass over the lanes, then a
-        single batched drive per signal."""
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        vp = sm = sp = vm = 0
-        for lane, node in enumerate(ctx.lanes):
-            c = node._wr - node._rd
-            bit = 1 << lane
-            if c >= 1:
-                vp |= bit
-            if c <= -node.anti_capacity:
-                sm |= bit
-            if c >= node.capacity:
-                sp |= bit
-            if c <= -1:
-                vm |= bit
-        o.set_mask("vp", full, vp)
-        for lane in iter_lanes(vp & ~o.data_k):
-            node = ctx.lanes[lane]
-            o.set_data(lane, node._store[node._rd])
-        o.set_mask("sm", full, sm)
-        i.set_mask("sp", full, sp)
-        i.set_mask("vm", full, vm)
+    def comb_spec(self):
+        # Fully registered: every output is a threshold on the occupancy.
+        count = "self._wr - self._rd"
+        token = state("token")
+        return CombSpec(
+            state={
+                "token": f"{count} >= 1",
+                "anti_full": f"{count} <= -self.anti_capacity",
+                "full": f"{count} >= self.capacity",
+                "anti": f"{count} <= -1",
+            },
+            signals={
+                ("o", "vp"): token,
+                ("o", "sm"): state("anti_full"),
+                ("i", "sp"): state("full"),
+                ("i", "vm"): state("anti"),
+            },
+            data={"o": (token, value("self._store[self._rd]"))},
+        )
 
     # -- sequential behaviour (Figure 3 with deterministic latencies) ---------
 
@@ -171,6 +168,22 @@ class ElasticBuffer(Node):
         if rd_inc:
             self._store.pop(self._rd, None)
             self._rd += 1
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        ivp, isp, ivm, ism = (g.sig(node, "i", s) for s in CONTROL_SIGNALS)
+        ovp, osp, ovm, osm = (g.sig(node, "o", s) for s in CONTROL_SIGNALS)
+        out += [
+            f"if {ivp} and not {isp}:",
+            f"    {n}._store[{n}._wr] = {g.sig(node, 'i', 'data')}",
+            f"    {n}._wr += 1",
+            f"elif {ivm} and not {ism}:",
+            f"    {n}._wr += 1",
+            f"if ({ovp} and not {osp}) or ({ovm} and not {osm}):",
+            f"    {n}._store.pop({n}._rd, None)",
+            f"    {n}._rd += 1",
+        ]
 
     # -- performance models ----------------------------------------------------
 
@@ -228,12 +241,6 @@ class ZeroBackwardLatencyBuffer(Node):
     def restore(self, state):
         self._full, self._value = state
 
-    def comb_reads(self):
-        # The Lb=0 controller lets stop/kill rush through combinationally:
-        # i.sp follows o.sp/o.vm while full, the anti-token pass-through
-        # reads o.vm and the upstream i.sm while empty.
-        return [("o", "sp"), ("o", "vm"), ("i", "sm")]
-
     def comb(self):
         changed = False
         ost = self.st("o")
@@ -258,44 +265,19 @@ class ZeroBackwardLatencyBuffer(Node):
             changed |= self.drive("i", "sp", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: full/empty lanes are split by one
-        occupancy mask and the combinational stop/kill pass-throughs become
-        masked Kleene operations over the output-side signals."""
-        full = ctx.full
-        o = ctx.bst("o")
-        i = ctx.bst("i")
-        cache = ctx.cache
-        occupied = cache.get("zbl")
-        if occupied is None:
-            occupied = 0
-            for lane, node in enumerate(ctx.lanes):
-                if node._full:
-                    occupied |= 1 << lane
-            cache["zbl"] = occupied
-        empty = full & ~occupied
-        ovm = (o.vm_k, o.vm_v)
-        if full & ~o.vp_k:
-            o.set_mask("vp", full, occupied)
-        for lane in iter_lanes(occupied & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        # Full lanes: sm=False, vm=False, sp=kand(o.sp, knot(o.vm)).
-        # Empty lanes: sp=False, vm=o.vm pass-through, sm=kite(o.vm, i.sm, False).
-        if full & ~i.sp_k:
-            sp_k, sp_v = mand((o.sp_k, o.sp_v), mnot(ovm))
-            sp_k = empty | (sp_k & occupied)
-            if sp_k & ~i.sp_k:
-                i.set_mask("sp", sp_k, sp_v & occupied)
-        if full & ~i.vm_k:
-            vm_k = occupied | (o.vm_k & empty)
-            if vm_k & ~i.vm_k:
-                i.set_mask("vm", vm_k, o.vm_v & empty)
-        if full & ~o.sm_k:
-            sm_k, sm_v = mite(ovm, (i.sm_k, i.sm_v), (full, 0))
-            sm_k = occupied | (sm_k & empty)
-            if sm_k & ~o.sm_k:
-                o.set_mask("sm", sm_k, sm_v & empty)
+    def comb_spec(self):
+        full = state("full")
+        ovm = sig("o", "vm")
+        return CombSpec(
+            state={"full": "self._full"},
+            signals={
+                ("o", "vp"): full,
+                ("o", "sm"): ite(full, FALSE, ite(ovm, sig("i", "sm"), FALSE)),
+                ("i", "vm"): ite(full, FALSE, ovm),
+                ("i", "sp"): ite(full, and_(sig("o", "sp"), not_(ovm)), FALSE),
+            },
+            data={"o": (full, value("self._value"))},
+        )
 
     def tick(self):
         ist = self.st("i")
@@ -308,6 +290,19 @@ class ZeroBackwardLatencyBuffer(Node):
         if stored:
             self._full = True
             self._value = ist.data
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        out += [
+            f"if {n}._full and {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
+            f"    {n}._full = False",
+            f"    {n}._value = None",
+            f"if {g.sig(node, 'i', 'vp')} and not {g.sig(node, 'i', 'sp')} "
+            f"and not {g.sig(node, 'i', 'vm')}:",
+            f"    {n}._full = True",
+            f"    {n}._value = {g.sig(node, 'i', 'data')}",
+        ]
 
     def area(self, tech):
         width = self.channel("o").width if "o" in self._channels else 8

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 
-from repro.elastic.channel import iter_lanes
+from repro.elastic.channel import CONTROL_SIGNALS
 from repro.elastic.node import Node
+from repro.elastic.spec import FALSE, CombSpec, ite, state, value
 
 
 class _SourceBase(Node):
@@ -46,49 +47,32 @@ class _SourceBase(Node):
         self._value = None
         self._skip = 0           # future tokens already killed by anti-tokens
 
-    def comb_reads(self):
-        # Drives purely from the offer registers frozen in pre_cycle.
-        return []
-
     def comb(self):
+        # Drives purely from the offer registers latched in pre_cycle.
         changed = False
-        if not self._offering and self._pending_start:
-            value = self._next_value()
-            if value is not None:
-                self._offering = True
-                self._value = value
-            self._pending_start = False
         changed |= self.drive("o", "vp", self._offering)
         if self._offering:
             changed |= self.drive("o", "data", self._value)
         changed |= self.drive("o", "sm", False)   # always absorb anti-tokens
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: latches pending offers per lane
-        (same order of ``_next_value`` calls as the scalar engine, so the
-        per-lane value streams stay bit-identical), then drives the offer
-        mask and per-lane data in one batched pass."""
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if not node._offering and node._pending_start:
-                value = node._next_value()
-                if value is not None:
-                    node._offering = True
-                    node._value = value
-                node._pending_start = False
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        o.set_mask("sm", ctx.full, 0)   # always absorb anti-tokens
+    def comb_spec(self):
+        offering = state("offering")
+        return CombSpec(
+            state={"offering": "self._offering"},
+            signals={("o", "vp"): offering, ("o", "sm"): FALSE},
+            data={"o": (offering, value("self._value"))},
+        )
 
     def pre_cycle(self):
-        """Called once per cycle before the fix-point (stabilizes choices)."""
-        self._pending_start = (not self._offering) and self._want_to_offer()
+        """Called once per cycle before the fix-point: decide whether to
+        start an offer and latch its value, so ``comb`` is a pure function
+        of the offer registers."""
+        if not self._offering and self._want_to_offer():
+            token = self._next_value()
+            if token is not None:
+                self._offering = True
+                self._value = token
 
     def tick(self):
         ost = self.st("o")
@@ -113,6 +97,32 @@ class _SourceBase(Node):
             self.killed += 1
             self.emitted += 1
 
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
+        vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
+        msg = f"source {node.name}: unbounded anti-token debt"
+        out += [
+            f"if {vp} and not {sp}:",
+            f"    {n}.emitted += 1",
+            f"    if {vm}:",
+            f"        {n}.killed += 1",
+            f"    {n}._offering = False",
+            f"    {n}._value = None",
+            f"elif {vm} and not {sm} and not {vp}:",
+            f"    {n}._skip += 1",
+            f"    if {n}._skip > {n}.max_skips:",
+            f"        raise AssertionError({msg!r})",
+            f"while {n}._skip > 0:",
+            f"    _v = {n}._next_value()",
+            "    if _v is None:",
+            "        break",
+            f"    {n}._skip -= 1",
+            f"    {n}.killed += 1",
+            f"    {n}.emitted += 1",
+        ]
+
 
 class ListSource(_SourceBase):
     """Offers the given values in order, then goes idle forever.
@@ -131,7 +141,6 @@ class ListSource(_SourceBase):
         super().reset()
         self._idx = 0
         self._rng = random.Random(self.seed)
-        self._pending_start = False
 
     def _next_value(self):
         if self._idx >= len(self.values):
@@ -171,7 +180,6 @@ class FunctionSource(_SourceBase):
         super().reset()
         self._idx = 0
         self._rng = random.Random(self.seed)
-        self._pending_start = False
 
     def _next_value(self):
         if self.limit is not None and self._idx >= self.limit:
@@ -216,29 +224,32 @@ class Sink(Node):
     def pre_cycle(self):
         self._stall_now = self.stall_rate > 0 and self._rng.random() < self.stall_rate
 
-    def comb_reads(self):
-        return []
-
     def comb(self):
         changed = self.drive("i", "sp", self._stall_now)
         changed |= self.drive("i", "vm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        stall = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._stall_now:
-                stall |= 1 << lane
-        i.set_mask("sp", ctx.full, stall)
-        i.set_mask("vm", ctx.full, 0)
+    def comb_spec(self):
+        return CombSpec(
+            state={"stall": "self._stall_now"},
+            signals={("i", "sp"): state("stall"), ("i", "vm"): FALSE},
+        )
 
     def tick(self):
         ist = self.st("i")
         if ist.vp and not ist.sp and not ist.vm:
             self.received.append((self._cycle, ist.data))
         self._cycle += 1
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        vp, sp, vm = (g.sig(node, "i", s) for s in ("vp", "sp", "vm"))
+        out += [
+            f"if {vp} and not {sp} and not {vm}:",
+            f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
+            f"{n}._cycle += 1",
+        ]
 
     @property
     def values(self):
@@ -285,26 +296,19 @@ class KillerSink(Node):
             not self._killing and self.stall_rate > 0 and self._rng.random() < self.stall_rate
         )
 
-    def comb_reads(self):
-        return []
-
     def comb(self):
         changed = self.drive("i", "vm", self._killing)
         # Kill and stop are mutually exclusive.
         changed |= self.drive("i", "sp", False if self._killing else self._stall_now)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        killing = stalling = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._killing:
-                killing |= 1 << lane
-            elif node._stall_now:
-                stalling |= 1 << lane
-        i.set_mask("vm", ctx.full, killing)
-        i.set_mask("sp", ctx.full, stalling)
+    def comb_spec(self):
+        killing = state("killing")
+        return CombSpec(
+            state={"killing": "self._killing", "stall": "self._stall_now"},
+            signals={("i", "vm"): killing,
+                     ("i", "sp"): ite(killing, FALSE, state("stall"))},
+        )
 
     def tick(self):
         ist = self.st("i")
@@ -314,6 +318,19 @@ class KillerSink(Node):
         elif ist.vp and not ist.sp and not ist.vm:
             self.received.append((self._cycle, ist.data))
         self._cycle += 1
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        vp, sp, vm, sm = (g.sig(node, "i", s) for s in CONTROL_SIGNALS)
+        out += [
+            f"if {n}._killing and ({vp} or not {sm}):",
+            f"    {n}._killing = False",
+            f"    {n}.kills_sent += 1",
+            f"elif {vp} and not {sp} and not {vm}:",
+            f"    {n}.received.append(({n}._cycle, {g.sig(node, 'i', 'data')}))",
+            f"{n}._cycle += 1",
+        ]
 
     @property
     def values(self):
@@ -355,9 +372,6 @@ class NondetSource(Node):
         if not self._offering and self._choice == 1:
             self._offering = True
 
-    def comb_reads(self):
-        return []
-
     def comb(self):
         changed = self.drive("o", "vp", self._offering)
         if self._offering:
@@ -365,20 +379,13 @@ class NondetSource(Node):
         changed |= self.drive("o", "sm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: the per-lane offer registers (frozen
-        by ``pre_cycle``) become one mask, per-lane counters scatter into
-        the data slots of the offering lanes."""
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._counter)
-        o.set_mask("sm", ctx.full, 0)
+    def comb_spec(self):
+        offering = state("offering")
+        return CombSpec(
+            state={"offering": "self._offering"},
+            signals={("o", "vp"): offering, ("o", "sm"): FALSE},
+            data={"o": (offering, value("self._counter"))},
+        )
 
     def tick(self):
         ost = self.st("o")
@@ -388,6 +395,20 @@ class NondetSource(Node):
             self.emitted += 1
         elif ost.vm and not ost.sm and not ost.vp:
             self._counter += 1     # future token killed while idle
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        vp, sp = g.sig(node, "o", "vp"), g.sig(node, "o", "sp")
+        vm, sm = g.sig(node, "o", "vm"), g.sig(node, "o", "sm")
+        out += [
+            f"if {vp} and not {sp}:",
+            f"    {n}._offering = False",
+            f"    {n}._counter += 1",
+            f"    {n}.emitted += 1",
+            f"elif {vm} and not {sm} and not {vp}:",
+            f"    {n}._counter += 1",
+        ]
 
     def snapshot(self):
         return (self._offering, self._counter % 4)
@@ -424,11 +445,8 @@ class NondetSink(Node):
         if not self._killing and self.can_kill and self._choice == 2:
             self._killing = True
 
-    def comb_reads(self):
-        # Drives purely from the frozen choice / kill registers.
-        return []
-
     def comb(self):
+        # Drives purely from the frozen choice / kill registers.
         if self._killing:
             changed = self.drive("i", "vm", True)
             changed |= self.drive("i", "sp", False)
@@ -437,17 +455,13 @@ class NondetSink(Node):
         changed |= self.drive("i", "sp", self._choice == 1)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        i = ctx.bst("i")
-        killing = stalling = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._killing:
-                killing |= 1 << lane
-            elif node._choice == 1:
-                stalling |= 1 << lane
-        i.set_mask("vm", ctx.full, killing)
-        i.set_mask("sp", ctx.full, stalling)
+    def comb_spec(self):
+        killing = state("killing")
+        return CombSpec(
+            state={"killing": "self._killing", "stall": "self._choice == 1"},
+            signals={("i", "vm"): killing,
+                     ("i", "sp"): ite(killing, FALSE, state("stall"))},
+        )
 
     def tick(self):
         ist = self.st("i")
@@ -456,6 +470,18 @@ class NondetSink(Node):
                 self._killing = False
         elif ist.vp and not ist.sp and not ist.vm:
             self.received += 1
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        vp, sp, vm, sm = (g.sig(node, "i", s) for s in CONTROL_SIGNALS)
+        out += [
+            f"if {n}._killing:",
+            f"    if {vp} or not {sm}:",
+            f"        {n}._killing = False",
+            f"elif {vp} and not {sp} and not {vm}:",
+            f"    {n}.received += 1",
+        ]
 
     def snapshot(self):
         return (self._killing,)
@@ -503,17 +529,13 @@ class NondetChoiceSource(NondetSource):
         changed |= self.drive("o", "sm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        o = ctx.bst("o")
-        offering = 0
-        for lane, node in enumerate(ctx.lanes):
-            if node._offering:
-                offering |= 1 << lane
-        o.set_mask("vp", ctx.full, offering)
-        for lane in iter_lanes(offering & ~o.data_k):
-            o.set_data(lane, ctx.lanes[lane]._value)
-        o.set_mask("sm", ctx.full, 0)
+    def comb_spec(self):
+        offering = state("offering")
+        return CombSpec(
+            state={"offering": "self._offering"},
+            signals={("o", "vp"): offering, ("o", "sm"): FALSE},
+            data={"o": (offering, value("self._value"))},
+        )
 
     def tick(self):
         ost = self.st("o")
@@ -521,6 +543,15 @@ class NondetChoiceSource(NondetSource):
             # Forward transfer or cancellation: the select token is gone.
             self._offering = False
             self.emitted += 1
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        out += [
+            f"if {g.sig(node, 'o', 'vp')} and not {g.sig(node, 'o', 'sp')}:",
+            f"    {n}._offering = False",
+            f"    {n}.emitted += 1",
+        ]
 
     def snapshot(self):
         return (self._offering, self._value)

@@ -14,9 +14,20 @@ counterflow network small while preserving transfer equivalence.
 
 from __future__ import annotations
 
-from repro.elastic.channel import iter_lanes
+from repro.elastic.channel import CONTROL_SIGNALS
 from repro.elastic.node import Node
-from repro.kleene import kand, kite, knot, kor, mand, mite, mnot, mor
+from repro.elastic.spec import (
+    FALSE,
+    CombSpec,
+    and_,
+    data,
+    ite,
+    not_,
+    or_,
+    sig,
+    state,
+)
+from repro.kleene import kand, kite, knot, kor
 
 
 class EagerFork(Node):
@@ -49,14 +60,6 @@ class EagerFork(Node):
 
     # -- combinational -----------------------------------------------------------
 
-    def comb_reads(self):
-        # Reads across ports: the input token (valid + data) and every
-        # branch's downstream stop feed the shared completion logic.
-        reads = [("i", "vp"), ("i", "data")]
-        for k in range(self.n_outputs):
-            reads.append((f"o{k}", "sp"))
-        return reads
-
     def comb(self):
         changed = False
         ist = self.st("i")
@@ -81,59 +84,25 @@ class EagerFork(Node):
         changed |= self.drive("i", "vm", False)
         return changed
 
-    @staticmethod
-    def batch_comb(ctx):
-        """Lane-parallel :meth:`comb`: per-branch done/doomed lanes become
-        masks (cached for the cycle — they derive from sequential state),
-        the eager completion logic folds masked Kleene ANDs/ORs across the
-        branches, and the input data fans out to every branch with one
-        batched drive each."""
-        full = ctx.full
-        lanes = ctx.lanes
-        static = ctx.static
-        try:
-            i, outputs = static["ports"]
-        except KeyError:
-            i = ctx.bst("i")
-            outputs = [ctx.bst(f"o{k}") for k in range(lanes[0].n_outputs)]
-            static["ports"] = (i, outputs)
-        cache = ctx.cache
-        seq = cache.get("fork")
-        if seq is None:
-            eff_done = [0] * len(outputs)
-            kill_full = [0] * len(outputs)
-            for lane, node in enumerate(lanes):
-                bit = 1 << lane
-                for k in range(len(outputs)):
-                    if node._done[k] or node._pk[k] > 0:
-                        eff_done[k] |= bit
-                    if node._pk[k] >= node.max_kills:
-                        kill_full[k] |= bit
-            cache["fork"] = (eff_done, kill_full)
-        else:
-            eff_done, kill_full = seq
-        ivp = (i.vp_k, i.vp_v)
-        data_ready = i.vp_v & i.data_k
-        all_ok = (full, full)
-        for k, o in enumerate(outputs):
-            vp_k_pair = mand(ivp, (full, full & ~eff_done[k]))
-            if vp_k_pair[0] & ~o.vp_k:
-                o.set_mask("vp", *vp_k_pair)
-            for lane in iter_lanes(data_ready & ~o.data_k):
-                o.set_data(lane, i.data[lane])
-            if full & ~o.sm_k:
-                sm_k, sm_v = mite(vp_k_pair, (full, 0), (full, kill_full[k]))
-                if sm_k & ~o.sm_k:
-                    o.set_mask("sm", sm_k, sm_v)
-            branch_ok = mor(
-                (full, eff_done[k]), mand(vp_k_pair, mnot((o.sp_k, o.sp_v)))
-            )
-            all_ok = mand(all_ok, branch_ok)
-        sp_k, sp_v = mnot(mand(ivp, all_ok))
-        if sp_k & ~i.sp_k:
-            i.set_mask("sp", sp_k, sp_v)
-        if full & ~i.vm_k:
-            i.set_mask("vm", full, 0)
+    def comb_spec(self):
+        ivp = sig("i", "vp")
+        states = {}
+        signals = {}
+        payload = {}
+        branch_ok = []
+        for k in range(self.n_outputs):
+            port = f"o{k}"
+            states[f"done{k}"] = f"self._done[{k}] or self._pk[{k}] > 0"
+            states[f"kill_full{k}"] = f"self._pk[{k}] >= self.max_kills"
+            eff_done = state(f"done{k}")
+            vp_k = and_(ivp, not_(eff_done))
+            signals[(port, "vp")] = vp_k
+            signals[(port, "sm")] = ite(vp_k, FALSE, state(f"kill_full{k}"))
+            payload[port] = (ivp, data("i"))
+            branch_ok.append(or_(eff_done, and_(vp_k, not_(sig(port, "sp")))))
+        signals[("i", "sp")] = not_(and_(ivp, and_(*branch_ok)))
+        signals[("i", "vm")] = FALSE
+        return CombSpec(signals, state=states, data=payload)
 
     # -- sequential ----------------------------------------------------------------
 
@@ -157,6 +126,33 @@ class EagerFork(Node):
             self._done[k] = self._done[k] or newly_done[k]
         if token_present and all(self._done):
             self._done = [False] * self.n_outputs
+
+    @staticmethod
+    def emit_tick(g, ni, node, out):
+        n = g.node_ref(ni)
+        k_out = node.n_outputs
+        out += [
+            f"_tk = {g.sig(node, 'i', 'vp')}",
+            f"_pk = {n}._pk",
+            f"_dn = {n}._done",
+        ]
+        for k in range(k_out):
+            p = f"o{k}"
+            vp, sp, vm, sm = (g.sig(node, p, s) for s in CONTROL_SIGNALS)
+            out += [
+                f"if _tk and _pk[{k}] > 0 and not _dn[{k}]:",
+                f"    _dn[{k}] = True",
+                f"    _pk[{k}] -= 1",
+                f"_b{k} = {vp} and not {sp}",
+                f"if {vm} and not {sm} and not {vp}:",
+                f"    _pk[{k}] += 1",
+            ]
+        for k in range(k_out):
+            out += [f"if _b{k}:", f"    _dn[{k}] = True"]
+        all_done = " and ".join(f"_dn[{k}]" for k in range(k_out))
+        out.append(f"if _tk and {all_done}:")
+        for k in range(k_out):
+            out.append(f"    _dn[{k}] = False")
 
     # -- performance ------------------------------------------------------------------
 

@@ -22,6 +22,7 @@ performance models.
 from __future__ import annotations
 
 from repro.elastic.channel import PRODUCER, CONSUMER, SIGNALS_BY_ROLE
+from repro.elastic.spec import spec_for
 
 
 class PortRole:
@@ -39,25 +40,36 @@ class Node:
     #: short kind tag used by dot export / back-ends; subclasses override.
     kind = "node"
 
-    #: Batched combinational kernel (lane-parallel engine).
-    #:
-    #: ``None`` means the batch engine evaluates this node lane by lane
-    #: through the ordinary :meth:`comb` (the scalar fallback).  Core node
-    #: kinds override this with a ``staticmethod(ctx)`` that advances every
-    #: lane of a batch at once: ``ctx`` is a
-    #: :class:`repro.sim.batch.BatchNodeCtx` exposing the per-lane node
-    #: instances, the :class:`~repro.elastic.channel.BatchChannelState` of
-    #: each port, and bit-mask drive helpers.  A kernel must implement
-    #: exactly the per-lane semantics of :meth:`comb` (same monotone Kleene
-    #: logic, same signals driven) — the differential batch tests pin the
-    #: two against each other.
-    #:
-    #: Kernels do **not** blindly inherit: a subclass that overrides
-    #: :meth:`comb` without defining its own ``batch_comb`` falls back to
-    #: per-lane scalar evaluation (see
-    #: :func:`repro.sim.batch.resolve_batch_kernel`), since the inherited
-    #: kernel would lane-parallelize the *ancestor's* semantics.
+    #: Comb spec builder: a method ``comb_spec(self)`` returning the
+    #: :class:`~repro.elastic.spec.CombSpec` that describes :meth:`comb`
+    #: (``None``: the kind has none).  The read set, the batch engine's
+    #: mask kernel and the codegen engine's straight-line signal tasks are
+    #: all generated from it (see :mod:`repro.elastic.spec`); :meth:`comb`
+    #: stays the reference the differential suites pin those derived
+    #: copies to.  A spec counts only when it is defined at or below the
+    #: class that defines ``comb`` (:func:`repro.elastic.spec.own_hook`).
+    comb_spec = None
+
+    #: Hand-written batched combinational kernel (lane-parallel engine), for
+    #: kinds whose logic a comb spec cannot express (data-dependent select,
+    #: per-lane schedulers).  ``None`` means the batch engine compiles the
+    #: comb spec, or — without one — evaluates this node lane by lane
+    #: through the ordinary :meth:`comb` (the scalar fallback).  A kernel is
+    #: a ``staticmethod(ctx)`` advancing every lane of a batch at once:
+    #: ``ctx`` is a :class:`repro.sim.batch.BatchNodeCtx` exposing the
+    #: per-lane node instances, the
+    #: :class:`~repro.elastic.channel.BatchChannelState` of each port, and
+    #: bit-mask drive helpers.  It must implement exactly the per-lane
+    #: semantics of :meth:`comb`, and obeys the same trust rule as
+    #: ``comb_spec``.
     batch_comb = None
+
+    #: Codegen tick emitter: ``staticmethod(g, ni, node, out)`` appending
+    #: straight-line statements equivalent to :meth:`tick` to ``out`` (see
+    #: :mod:`repro.backend.pysim`).  Counts only when it is defined at or
+    #: below the class that defines ``tick``; otherwise the generated cycle
+    #: calls :meth:`tick` itself.
+    emit_tick = None
 
     #: True for node kinds that *register* tokens — a clock boundary on the
     #: token-flow path (elastic buffers, variable-latency stations, FIFOs).
@@ -126,14 +138,18 @@ class Node:
         """``(port, signal)`` pairs :meth:`comb` may *read*.
 
         The worklist engine re-evaluates a node only when one of these
-        signals changes, so the default is deliberately conservative: every
-        signal the opposite endpoint may drive, on every port (a consumer
-        port reads ``vp``/``sm``/``data``, a producer port reads
-        ``sp``/``vm``).  Subclasses whose combinational function reads less
-        — elastic buffers and environments drive purely from sequential
-        state, for instance — override this to narrow the set; subclasses
-        must never read a channel signal outside the set they declare.
+        signals changes.  A kind with a trusted comb spec reads exactly the
+        spec's free port signals (elastic buffers and environments drive
+        purely from sequential state, so theirs is empty).  Otherwise the
+        default is deliberately conservative: every signal the opposite
+        endpoint may drive, on every port (a consumer port reads
+        ``vp``/``sm``/``data``, a producer port reads ``sp``/``vm``).
+        Kinds without a spec may override this to narrow the set; no node
+        may read a channel signal outside the set it declares.
         """
+        spec = spec_for(self)
+        if spec is not None:
+            return list(spec.reads)
         reads = []
         for port in self.in_ports:
             for sig in SIGNALS_BY_ROLE[PRODUCER]:

@@ -484,11 +484,12 @@ def rule_fork_join(netlist):
 
 
 @lint_rule("batch-kernels", ("W210",),
-           "a comb() override without its own batch_comb kernel falls "
-           "back to per-lane scalar evaluation in the batch engine")
+           "a comb() override without its own comb spec or batch_comb "
+           "kernel falls back to per-lane scalar evaluation in the batch "
+           "engine")
 def rule_batch_kernels(netlist):
     from repro.elastic.node import Node
-    from repro.sim.batch import resolve_batch_kernel
+    from repro.elastic.spec import own_hook
 
     by_class = {}
     for node in netlist.nodes.values():
@@ -497,15 +498,15 @@ def rule_batch_kernels(netlist):
     for cls, names in sorted(by_class.items(), key=lambda kv: kv[0].__name__):
         if cls.comb is Node.comb:
             continue                      # no combinational behaviour at all
-        if resolve_batch_kernel(cls) is not None:
+        if own_hook(cls, "comb_spec") or own_hook(cls, "batch_comb"):
             continue
-        reason = ("an ancestor's kernel is suppressed as unsafe"
-                  if cls.batch_comb is not None else "no batch_comb defined")
+        reason = ("an ancestor's is suppressed as unsafe"
+                  if cls.comb_spec or cls.batch_comb else "none defined")
         diags.append(Diagnostic(
             code="W210",
             message=(f"{cls.__name__} overrides comb() without its own "
-                     f"batch_comb ({reason}): {len(names)} node(s) "
-                     f"fall back to scalar lanes"),
+                     f"comb spec or batch_comb ({reason}): {len(names)} "
+                     f"node(s) fall back to scalar lanes"),
             node=names[0]))
     return diags
 
@@ -517,9 +518,8 @@ def rule_batch_kernels(netlist):
            "fault-injection saboteurs (repro.chaos) must not ship in a "
            "production netlist")
 def rule_chaos(netlist):
-    # Matched by kind prefix, not by class: lint must not import the chaos
-    # package (which arms codegen emitters as a side effect), and saboteur
-    # subclasses should stay flagged.
+    # Matched by kind prefix, not by class: saboteur subclasses stay
+    # flagged, and lint keeps importing no node-kind package.
     diags = []
     for node in netlist.nodes.values():
         if node.kind.startswith("chaos_"):

@@ -15,11 +15,14 @@ How a cycle runs
 1. **pre-cycle** — every node of every lane freezes its randomized choices,
    exactly as in the scalar engines (per-lane RNGs stay independent).
 2. **batched fix-point** — the worklist loop visits *node positions* (one
-   per topology node, covering all lanes).  Positions whose node class
-   defines a :attr:`~repro.elastic.node.Node.batch_comb` kernel advance
-   every lane with a handful of bitwise Kleene operations
-   (:func:`repro.kleene.mand` and friends); positions without a kernel fall
-   back to the scalar ``comb`` lane by lane, bridged through the lanes' own
+   per topology node, covering all lanes).  Positions with a lane kernel
+   (:func:`batch_kernel`: compiled from the node kind's comb spec, see
+   :mod:`repro.elastic.spec`, or a hand-written
+   :attr:`~repro.elastic.node.Node.batch_comb` for the few kinds a spec
+   cannot express) advance every lane with a handful of bitwise Kleene
+   operations (:func:`repro.kleene.mand` and friends, inlined); positions
+   without one fall back to the scalar ``comb`` lane by lane, bridged
+   through the lanes' own
    :class:`~repro.elastic.channel.ChannelState` objects.  Change
    propagation reuses the exact signal -> readers tables of the worklist
    engine; a signal id is (re-)enqueued whenever it becomes known in at
@@ -45,9 +48,9 @@ Whenever a batch contains at least one scalar-fallback node, the lanes'
 scalar channel states are cleared at the start of every cycle, so a
 ``Channel.events()`` call from inside a fallback node's ``comb`` raises on
 unresolved signals exactly as under the scalar engines.  Kernel-only
-batches skip that clearing as an optimization — ``batch_comb`` kernels
-are engine code and must work from the mask pairs, never from the scalar
-states, inside the fix-point.
+batches skip that clearing as an optimization — lane kernels are engine
+code and work from the mask pairs, never from the scalar states, inside
+the fix-point.
 
 Beyond lock-step simulation, the batch engine exposes per-lane dynamic
 state scatter/gather for the model checker
@@ -72,35 +75,205 @@ from repro.elastic.channel import (
     EV_CANCEL,
     EV_IDLE,
     N_SIGNALS,
+    iter_lanes,
 )
 from repro.elastic.node import Node
+from repro.elastic.spec import own_hook, spec_for, value_ports
 from repro.errors import CombinationalLoopError
 from repro.sim.monitors import BatchProtocolMonitor
 from repro.sim.sensitivity import sensitivity_tables
 from repro.sim.stats import ChannelStats
 
 
-def resolve_batch_kernel(cls):
-    """The ``batch_comb`` kernel the batch engine may use for node class
-    ``cls``, or ``None`` for the per-lane scalar fallback.
+def batch_kernel(node):
+    """The lane kernel the batch engine runs for ``node``'s position, or
+    ``None`` for the per-lane scalar fallback.
 
-    A kernel is only trusted when it was defined *at or below* the class
-    that defines ``comb`` in the MRO: a subclass that overrides ``comb``
-    while inheriting an ancestor's ``batch_comb`` would lane-parallelize
-    the ancestor's semantics, silently diverging from its own scalar
-    behaviour.  Such classes fall back to the (always-correct) scalar
-    evaluation instead — override ``batch_comb`` too (or set it back to
-    ``None``) to opt in.
+    A hand-written ``batch_comb`` comes first; otherwise the node's comb
+    spec is compiled into a mask kernel (once per spec, on first use).  Both
+    obey :func:`repro.elastic.spec.own_hook`: a subclass that overrides
+    ``comb`` without its own kernel or spec falls back to its (always
+    correct) scalar ``comb``.
     """
-    kernel = cls.batch_comb
-    if kernel is None:
-        return None
-    mro = cls.__mro__
-    kernel_definer = next(k for k in mro if "batch_comb" in k.__dict__)
-    comb_definer = next(k for k in mro if "comb" in k.__dict__)
-    if mro.index(kernel_definer) <= mro.index(comb_definer):
+    kernel = own_hook(type(node), "batch_comb")
+    if kernel is not None:
         return kernel
-    return None
+    spec = spec_for(node)
+    if spec is None:
+        return None
+    kernel = _KERNELS.get(spec)
+    if kernel is None:
+        kernel = _KERNELS[spec] = _compile_kernel(spec, type(node))
+    return kernel
+
+
+_KERNELS = {}
+
+
+def _atom(expr):
+    return expr.replace("_", "").replace(".", "").isalnum()
+
+
+def _band(*xs):
+    """``&`` of mask expressions, folding ``0`` and ``full`` (the identity
+    on lane masks; kept when every other operand is a ``~`` complement,
+    which has bits beyond the lanes)."""
+    rest = [x for x in xs if x != "full"]
+    if "0" in rest:
+        return "0"
+    if all(x.startswith("~") for x in rest) and len(rest) < len(xs):
+        rest.insert(0, "full")
+    return " & ".join(x if _atom(x) or x.startswith("~") else f"({x})"
+                      for x in rest)
+
+
+def _bor(*xs):
+    xs = [x for x in xs if x != "0"]
+    if "full" in xs:
+        return "full"
+    return " | ".join(xs) if xs else "0"
+
+
+def _bandnot(x, y):
+    """``x & ~y`` for ``y`` a subset of ``x``'s universe."""
+    if y == "0":
+        return x
+    if y == "full" or x == "0":
+        return "0"
+    return _band(x, f"~{y}" if _atom(y) else f"~({y})")
+
+
+class _MaskLowering:
+    """Lowers spec terms to ``(known, value)`` mask expressions.
+
+    Each term becomes a pair of Python expressions over the kernel's
+    locals: ``full`` (all lanes), ``s<j>`` (state-term masks) and the
+    ``p<k>`` port states, with the bit formulas of :func:`repro.kleene.mand`
+    and friends inlined.  Composite terms are assigned to temporaries; a
+    known mask of ``full`` marks a term known in every lane, which folds
+    most of the formulas away.
+    """
+
+    def __init__(self, ports, states, lines, indent):
+        self.ports = ports
+        self.states = states
+        self.lines = lines
+        self.indent = indent
+        self.n_temps = 0
+        self.memo = {}
+
+    def _temp(self, expr):
+        if _atom(expr):
+            return expr
+        name = f"t{self.n_temps}"
+        self.n_temps += 1
+        self.lines.append(f"{self.indent}{name} = {expr}")
+        return name
+
+    def lower(self, term):
+        pair = self.memo.get(term)
+        if pair is None:
+            pair = self.memo[term] = self._lower(term)
+        return pair
+
+    def _lower(self, term):
+        op = term[0]
+        if op == "const":
+            return ("full", "full" if term[1] else "0")
+        if op == "state":
+            return ("full", f"s{self.states.index(term[1])}")
+        if op == "sig":
+            p = f"p{self.ports.index(term[1])}"
+            return (f"{p}.{term[2]}_k", f"{p}.{term[2]}_v")
+        if op == "not":
+            ak, av = self.lower(term[1])
+            return (ak, self._temp(_bandnot(ak, av)))
+        if op in ("and", "or"):
+            (ak, av), (bk, bv) = self.lower(term[1]), self.lower(term[2])
+            if op == "and":
+                v = self._temp(_band(av, bv))
+                k = _bor(_bandnot(ak, av), _bandnot(bk, bv), v)
+            else:
+                v = self._temp(_bor(av, bv))
+                k = _bor(v, _band(_bandnot(ak, av), _bandnot(bk, bv)))
+            if ak == bk == "full":
+                return ("full", v)
+            return (self._temp(k), v)
+        (ck, cv), (tk, tv), (fk, fv) = (self.lower(t) for t in term[1:])
+        sel_f = self._temp(_bandnot(ck, cv))
+        agree = "0"
+        if ck != "full":
+            # Lanes with an unknown condition resolve where both branches
+            # are known and agree (the kite rule).
+            same = (f"~{fv}" if tv == "0" else f"~{tv}" if fv == "0"
+                    else f"~({tv} ^ {fv})")
+            agree = self._temp(_band(f"~{ck}", tk, fk, same))
+        v = self._temp(_bor(_band(cv, tv), _band(sel_f, fv), _band(agree, tv)))
+        if ck == tk == fk == "full":
+            return ("full", v)
+        return (self._temp(_bor(_band(cv, tk), _band(sel_f, fk), agree)), v)
+
+
+def _compile_kernel(spec, cls):
+    """Python source of a ``batch_comb``-shaped kernel for ``spec``,
+    compiled.  Per cycle it builds the state-term lane masks once (cached
+    in ``ctx.cache`` when the node reads signals and may be re-evaluated),
+    then drives each output signal not yet known in every lane with
+    inlined bitwise Kleene logic, and sets data lane by lane."""
+    ports = []
+    for port, _signal in spec.outputs() + list(spec.reads):
+        if port not in ports:
+            ports.append(port)
+    states = list(spec.state)
+    body = ["full = ctx.full", "ports = ctx.ports"]
+    body += [f"p{k} = ports[{port!r}]" for k, port in enumerate(ports)]
+    if states:
+        masks = ", ".join(f"s{j}" for j in range(len(states))) + ","
+        build = [" = ".join(f"s{j}" for j in range(len(states))) + " = 0",
+                 "for lane, self in enumerate(ctx.lanes):",
+                 "    bit = 1 << lane"]
+        for j, name in enumerate(states):
+            build += [f"    if {spec.state[name]}:", f"        s{j} |= bit"]
+        if spec.reads:
+            body += ["cache = ctx.cache", "masks = cache.get(0)",
+                     "if masks is None:"]
+            body += ["    " + line for line in build]
+            body += [f"    cache[0] = ({masks})", "else:",
+                     f"    {masks} = masks"]
+        else:
+            body += build
+    for (port, signal), term in spec.signals.items():
+        p = f"p{ports.index(port)}"
+        body.append(f"if full & ~{p}.{signal}_k:")
+        lowering = _MaskLowering(ports, states, body, "    ")
+        k, v = lowering.lower(term)
+        if k == "full":
+            body.append(f"    {p}.set_mask({signal!r}, full, {v})")
+        else:
+            body += [f"    if {k} & ~{p}.{signal}_k:",
+                     f"        {p}.set_mask({signal!r}, {k}, {v})"]
+    for port, (guard, val) in spec.data.items():
+        p = f"p{ports.index(port)}"
+        lowering = _MaskLowering(ports, states, body, "")
+        need = f"{lowering.lower(guard)[1]} & ~{p}.data_k"
+        for arg in value_ports(val):
+            need += f" & p{ports.index(arg)}.data_k"
+        body.append(f"for lane in iter_lanes({need}):")
+        if val[0] == "data":
+            body.append(f"    {p}.set_data(lane, p{ports.index(val[1])}.data[lane])")
+        else:
+            body.append("    self = ctx.lanes[lane]")
+            if val[0] == "value":
+                expr = val[1]
+            else:
+                args = ", ".join(f"p{ports.index(a)}.data[lane]" for a in val[2])
+                expr = f"self.{val[1]}({args})"
+            body.append(f"    {p}.set_data(lane, {expr})")
+    source = "def kernel(ctx):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {"iter_lanes": iter_lanes}
+    exec(compile(source, f"<comb spec kernel {cls.__qualname__}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def topology_signature(netlist):
@@ -225,7 +398,7 @@ class LaneStatsView:
 
 
 class BatchNodeCtx:
-    """What a :attr:`Node.batch_comb` kernel sees: the per-lane node
+    """What a lane kernel sees: the per-lane node
     instances of one topology position plus the batched states of its
     ports.
 
@@ -354,7 +527,7 @@ class BatchSimulator:
         self._ctx_caches = []
         self._any_fallback = False
         for pos, lanes in enumerate(self._node_lanes):
-            kernel = resolve_batch_kernel(type(lanes[0]))
+            kernel = batch_kernel(lanes[0])
             if kernel is not None:
                 ports = {
                     port: self._bst_by_name[lanes[0]._channels[port].name]

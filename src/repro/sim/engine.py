@@ -25,11 +25,10 @@ sensitivity map** (a patchable
 :class:`~repro.sim.sensitivity.SensitivityMap` since PR 4, so structural
 netlist edits update a live simulator in place — see `Incremental
 patching` on :class:`Simulator`).  At construction the engine asks every
-node which
-channel signals its ``comb`` may read (:meth:`Node.comb_reads`, derived
-from port roles with per-node narrowing) and which it may drive
-(:meth:`Node.comb_writes`), and inverts the read sets into
-signal -> dependent-node lists.  Every ``unknown -> known`` signal
+node which channel signals its ``comb`` may read (:meth:`Node.comb_reads`:
+the free signals of the kind's comb spec, else derived from port roles)
+and which it may drive (:meth:`Node.comb_writes`), and inverts the read
+sets into signal -> dependent-node lists.  Every ``unknown -> known`` signal
 transition inside :meth:`ChannelState.set` is appended to a shared change
 log, so after evaluating a node the engine enqueues exactly the nodes
 sensitive to what actually changed.
@@ -65,8 +64,9 @@ signals are bit-packed Python ints — each three-valued signal becomes a
 ``(known, value)`` mask pair with one bit per simulation *lane* — so a
 single pass over the same static sensitivity map advances N configurations
 of a shared topology at once, with node logic lane-parallelized through
-bitwise Kleene operators (``Node.batch_comb`` kernels for the core elastic
-node kinds, a per-lane scalar fallback for everything else).
+bitwise Kleene operators (mask kernels compiled from each node kind's
+comb spec, hand-written ``Node.batch_comb`` kernels for the kinds a spec
+cannot express, a per-lane scalar fallback for everything else).
 ``Simulator(engine="batch")`` wraps a single netlist in a one-lane
 :class:`~repro.sim.batch.BatchSimulator` and behaves exactly like the
 scalar engines (the differential fuzz tests pin all three against each
@@ -80,8 +80,8 @@ the worklist seeds with) is emitted as straight-line Python with channel
 signals in flat locals, the cyclic residue runs in a generated
 event-driven worklist off the same change log (so it makes exactly this
 engine's ``comb()`` calls there), and protocol monitoring / statistics /
-event resolution / core ``tick`` kernels are inlined into the same
-generated function — one Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
+event resolution / the node kinds' ``tick`` emitters are inlined into
+the same generated function — one Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
 once per topology and cached process-wide (sequential parameters are read
 at run time, so sweeps over one topology compile once); structural edits
 re-elaborate before the next step, never serving stale code.  Highest

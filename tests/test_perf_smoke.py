@@ -399,6 +399,93 @@ def test_codegen_residue_evaluates_like_worklist(design):
     assert codegen.sweeps_per_cycle == [1] * 200
 
 
+#: nodes codegen evaluates in its deferred residue rather than as
+#: straight-line tasks, per distinct topology of the ``perfbench`` sweep
+#: workloads (keyed by the label of its first design point) and per
+#: model-checking design.  Recorded when the signal tasks were still
+#: written by hand per node kind; the tasks lowered from comb specs must
+#: keep every other node straight-line.
+CODEGEN_RESIDUE = {
+    "fig1[design=fig1a]": (7, ()),
+    "fig1[design=fig1b]": (8, ()),
+    "fig1[design=fig1c]": (8, ()),
+    "fig1[design=fig1d]": (
+        7, ("G", "P0", "P1", "fork", "mux", "shared_F_c0")),
+    "fig6[design=stalling arith_fraction=0.0 window=2]": (6, ("G", "vl")),
+    "fig6[design=speculative arith_fraction=0.0 window=2]": (
+        11, ("Fapprox", "Ferr", "Fexact", "fork", "mux", "sharedG")),
+    "fig7[design=fig7a error_rate=0.0]": (7, ()),
+    "fig7[design=fig7b error_rate=0.0]": (
+        11, ("correct", "detect", "fork", "mux", "raw", "sharedAdd")),
+    "deep-pipeline[n_stages=12]": (26, ()),
+    "deep-pipeline[n_stages=64]": (130, ()),
+}
+
+CODEGEN_MC_RESIDUE = {
+    "eb": (3, ()),
+    "zbl": (3, ()),
+    "spec-toggle": (6, ("mux", "sh")),
+    "spec-nondet": (6, ("mux", "sh")),
+    "spec-static": (6, ("mux", "sh")),
+    "spec-z2-kill": (8, ("mux", "sh", "z0", "z1")),
+}
+
+
+def _sweep_topologies():
+    """The first design point of each distinct topology of the perfbench
+    sweeps (fig1, fig1-accuracy, fig6, fig7 and the 12/64-stage deep
+    pipelines), keyed by its label."""
+    from repro.netlist import patterns
+    from repro.perf import presets
+    from repro.perf.sweep import SweepSpec
+    from repro.sim.batch import topology_signature
+
+    specs = [presets.fig1_spec(), presets.fig1_accuracy_spec(),
+             presets.fig6_spec(), presets.fig7_spec(),
+             SweepSpec(name="deep-pipeline", factory=patterns.deep_pipeline,
+                       grid={"n_stages": (12, 64)}, channel="out")]
+    seen = set()
+    for spec in specs:
+        for config in spec.expand():
+            made = spec.factory(**config.params)
+            net = made[0] if isinstance(made, tuple) else made
+            signature = topology_signature(net)
+            if signature not in seen:
+                seen.add(signature)
+                yield config.name, net
+
+
+def _residue(net):
+    from repro.backend.pysim import _build_plan
+
+    plan = _build_plan(net)
+    return len(plan.nodes), tuple(sorted(plan.nodes[ni].name
+                                         for ni in plan.deferred))
+
+
+def test_codegen_keeps_straight_line_coverage():
+    """Every node that ran straight-line keeps doing so — counted, not
+    timed: a spec lowering that loses a task demotes its node (and its
+    readers) to the residue on any machine."""
+    from repro.designs import MC_DESIGNS
+    from repro.netlist import patterns
+
+    sweep = dict((name, _residue(net)) for name, net in _sweep_topologies())
+    assert sweep.keys() == CODEGEN_RESIDUE.keys()
+    mc = {name: _residue(factory()) for name, factory in MC_DESIGNS.items()}
+    mc["spec-z2-kill"] = _residue(
+        patterns.speculative_mc(n_zbl=2, can_kill_sink=True)[0])
+    for found, recorded in ((sweep, CODEGEN_RESIDUE),
+                            (mc, CODEGEN_MC_RESIDUE)):
+        for name, (n_nodes, deferred) in recorded.items():
+            assert found[name][0] == n_nodes, name
+            assert set(found[name][1]) <= set(deferred), name
+    assert sum(n for n, _ in CODEGEN_RESIDUE.values()) == 221
+    assert sum(len(d) for _, d in CODEGEN_RESIDUE.values()) == 20
+    assert sum(n for n, _ in CODEGEN_MC_RESIDUE.values()) == 32
+    assert sum(len(d) for _, d in CODEGEN_MC_RESIDUE.values()) == 10
+
+
 # -- serve result-cache smoke (ISSUE 8) ----------------------------------------
 
 #: minimum acceptable quick-measurement cache-hit speedup.  The ISSUE's
