@@ -16,8 +16,9 @@ per *topology* in which
 * channel signals of that region live in **flat local variables**
   (``v3``/``p3``/``a3``/``m3``/``d3`` for ``vp``/``sp``/``vm``/``sm``/
   ``data`` of channel slot 3) instead of ``ChannelState`` objects;
-* the cyclic residue (ZBL chains, lazy joins, speculation loops) and any
-  node kind without a comb spec fall back to a generated **event-driven
+* the residue — nodes without a comb spec (and their readers) and true
+  signal-level combinational loops; on the shipped designs it is empty —
+  falls back to a generated **event-driven
   worklist** over the real ``comb()`` methods and ``ChannelState`` objects
   ("boxed" channels), preserving the monotone Kleene semantics and
   :class:`~repro.errors.SignalConflictError` behaviour exactly.  It is
@@ -45,7 +46,9 @@ Caching and staleness
 ---------------------
 
 Generated modules are ``exec``-compiled once per topology and cached
-process-wide, keyed by the netlist **content signature** (node names,
+process-wide (a least-recently-used cache of :data:`MODULE_CACHE_SIZE`
+modules, so a long-lived ``repro serve`` stays bounded), keyed by the
+netlist **content signature** (node names,
 classes, ports, declared sensitivities, channel wiring — the same
 structural identity the batch engine uses for lane sharing) plus the
 elaboration flags (``check_protocol``, ``profile``).  Numeric parameters
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import OrderedDict
 
 from repro.elastic.channel import (
     CONSUMER,
@@ -99,7 +103,9 @@ from repro.elastic.channel import (
     SIGNALS_BY_ROLE,
 )
 from repro.elastic.node import Node
-from repro.elastic.spec import TRUE, own_hook, spec_for, value_ports
+from repro.elastic.spec import (
+    TRUE, own_hook, select_index, spec_for, value_ports,
+)
 from repro.errors import CombinationalLoopError
 from repro.graphalg import levelize, toposort
 from repro.sim.monitors import ProtocolMonitor
@@ -138,7 +144,11 @@ _LOC = {"vp": "v", "sp": "p", "vm": "a", "sm": "m", "data": "d"}
 # unconditionally (the elaborator audits this); data writes are guarded,
 # mirroring drive()'s None no-op.  Tasks share no scratch state — each
 # recomputes the state terms it needs (locals with a leading underscore,
-# which never collide with channel locals).
+# which never collide with channel locals).  A ``case`` term becomes a
+# conditional chain over its select's arm index; a select that is present
+# but carries unknown data has no two-valued meaning, and since such a
+# cycle cannot resolve, the generated code hands it to the backend's
+# diagnosis (which re-derives the three-valued fix-point) at once.
 # ---------------------------------------------------------------------------
 
 _TASKS = {}
@@ -187,7 +197,7 @@ def _task_emitter(spec, writes):
             return
         uses[term] = uses.get(term, 0) + 1
         if uses[term] == 1 and term[0] != "state":
-            for sub in term[1:]:
+            for sub in term[2] if term[0] == "case" else term[1:]:
                 count(sub)
 
     for port, signal in writes:
@@ -198,6 +208,49 @@ def _task_emitter(spec, writes):
     lines = []
     memo = {}
     pairs = set(writes)      # channel signals the lines reference
+    selects = {}             # case port -> local holding its arm index
+
+    def select(port, n):
+        # The arm index, or -1 while the select is absent.  ``_sel``
+        # raises SchedulerError on an invalid select, and diagnoses the
+        # cycle when the select's data is unknown: a two-valued task
+        # cannot carry that unknown, and the cycle cannot resolve.
+        local = selects.get(port)
+        if local is None:
+            local = selects[port] = f"_x{len(selects)}"
+            pairs.update(((port, "vp"), (port, "data")))
+            lines.append(f"{local} = _sel({{n}}, {{{port}_data}}, {n}, cycle)"
+                         f" if {{{port}_vp}} else -1")
+        return local
+
+    def pick(port, arms, default):
+        # ``arms[index]`` as a conditional chain (``default`` when absent).
+        x = select(port, len(arms))
+        if set(arms) <= {"True", "False"} and default == "False":
+            hits = tuple(k for k, arm in enumerate(arms) if arm == "True")
+            if len(hits) == 1:
+                return f"{x} == {hits[0]}"
+            return f"{x} in {hits!r}" if hits else "False"
+        chain = default
+        for k in reversed(range(len(arms))):
+            if arms[k] != default:
+                chain = f"{arms[k]} if {x} == {k} else {chain}"
+        return chain
+
+    def value_code(val):
+        # A data value that is None while any argument it needs is.
+        if val[0] == "case":
+            return pick(val[1], [value_code(arm) for arm in val[2]], "None")
+        args = [f"{{{arg}_data}}" for arg in value_ports(val)]
+        pairs.update((arg, "data") for arg in value_ports(val))
+        if val[0] == "data":
+            return args[0]
+        rhs = (f"{{n}}.{val[1]}({', '.join(args)})" if val[0] == "call"
+               else _python(val[1]))
+        if not args:
+            return rhs
+        known = " and ".join(f"{arg} is not None" for arg in args)
+        return f"({rhs} if {known} else None)"
 
     def expr(term):
         if term in memo:
@@ -214,6 +267,8 @@ def _task_emitter(spec, writes):
             code = f"not {expr(term[1])}"
         elif op in ("and", "or"):
             code = f"{expr(term[1])} {op} {expr(term[2])}"
+        elif op == "case":
+            code = pick(term[1], [expr(arm) for arm in term[2]], "False")
         else:
             code = f"{expr(term[2])} if {expr(term[1])} else {expr(term[3])}"
         if uses.get(term, 0) > 1:
@@ -229,21 +284,15 @@ def _task_emitter(spec, writes):
             lines.append(f"{target} = {expr(term)}")
             memo[term] = target
             continue
+        # A value with an unknown argument is None, which leaves the
+        # (cleared) data signal unresolved, as drive() would.
         guard, val = spec.data[port]
-        pairs.update((arg, "data") for arg in value_ports(val))
-        args = [f"{{{arg}_data}}" for arg in value_ports(val)]
-        tests = [] if guard == TRUE else [expr(guard)]
-        tests += [f"{arg} is not None" for arg in args]
-        if val[0] == "data":
-            rhs = args[0]
-        elif val[0] == "call":
-            rhs = f"{{n}}.{val[1]}({', '.join(args)})"
-        else:
-            rhs = _python(val[1])
-        if tests:
-            lines += [f"if {' and '.join(tests)}:", f"    {target} = {rhs}"]
-        else:
+        test = None if guard == TRUE else expr(guard)
+        rhs = value_code(val)
+        if test is None:
             lines.append(f"{target} = {rhs}")
+        else:
+            lines += [f"if {test}:", f"    {target} = {rhs}"]
     uses_node = any("{n}" in line for line in lines)
 
     def emit(g, ni, node, out):
@@ -251,6 +300,8 @@ def _task_emitter(spec, writes):
                    for port, signal in pairs}
         if uses_node:
             mapping["n"] = g.node_ref(ni)
+        if selects:
+            g.bind["_sel"] = 'env["select"]'
         out += [line.format_map(mapping) for line in lines]
 
     return emit
@@ -734,7 +785,11 @@ class CompiledModule:
         self.content_hash = content_hash
 
 
-_MODULE_CACHE = {}
+#: generated modules kept by the process-wide cache (least recently used
+#: evicted first); a ``perfbench`` pass elaborates 10 sweep topologies.
+MODULE_CACHE_SIZE = 64
+
+_MODULE_CACHE = OrderedDict()
 _CACHE_STATS = {"hits": 0, "misses": 0}
 
 
@@ -749,6 +804,7 @@ def _module_for(netlist, check_protocol, profile):
     module = _MODULE_CACHE.get(key)
     if module is not None:
         _CACHE_STATS["hits"] += 1
+        _MODULE_CACHE.move_to_end(key)
         return module
     _CACHE_STATS["misses"] += 1
     content_hash = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
@@ -757,6 +813,8 @@ def _module_for(netlist, check_protocol, profile):
     exec(compile(source, f"<pysim:{content_hash}>", "exec"), namespace)
     module = CompiledModule(source, namespace["build"], content_hash)
     _MODULE_CACHE[key] = module
+    while len(_MODULE_CACHE) > MODULE_CACHE_SIZE:
+        _MODULE_CACHE.popitem(last=False)
     return module
 
 
@@ -851,6 +909,7 @@ class CodegenBackend:
             "backend": self,
             "netlist": netlist,
             "diagnose": self._diagnose,
+            "select": self._select,
             "log": self._log,
             "EV_IDLE": _ev().EV_IDLE,
             "EV_CANCEL": _ev().EV_CANCEL,
@@ -895,9 +954,23 @@ class CodegenBackend:
             )
 
     def _diagnose(self, cycle):
-        """Exact ``Simulator._check_resolved`` mirror over the (already
-        flushed) channel states; only called when a quick inline test saw
-        an unresolved signal, and always raises."""
+        """Raise the worklist engine's :class:`CombinationalLoopError` for
+        ``cycle``; only called once the cycle is known not to resolve.
+
+        The straight-line region is two-valued and cannot hold the unknowns
+        an unresolved cycle leaves, so the three-valued fix-point is
+        re-derived here by sweeping every node's ``comb()`` over cleared
+        channel states (``comb()`` is pure once ``pre_cycle`` has run), then
+        reported in ``Simulator._check_resolved``'s channel and signal
+        order."""
+        for channel in self._channels:
+            channel.clear_cycle()
+        changed = True
+        while changed:
+            changed = False
+            for node in self._nodes:
+                changed |= bool(node.comb())
+        self._log.clear()
         unresolved = []
         for channel in self._channels:
             state = channel.state
@@ -909,6 +982,13 @@ class CodegenBackend:
             elif state.vp and state.data is None:
                 unresolved.append(f"{channel.name}.data")
         raise CombinationalLoopError(unresolved, cycle=cycle)
+
+    def _select(self, node, sel, n, cycle):
+        """A ``case`` arm index for the generated code: an unknown select
+        (``vp`` True, data ``None``) leaves the cycle unresolved."""
+        if sel is None:
+            self._diagnose(cycle)
+        return select_index(node, sel, n)
 
     def step(self):
         # Ownership first: a dirty refresh would re-register this backend's

@@ -147,8 +147,9 @@ def iter_lanes(mask):
     """Yield the lane indices of the set bits of ``mask``, lowest first.
 
     The shared sparse-iteration idiom of the batch engine: per-lane work
-    (data scatter in the ``batch_comb`` kernels, stalled-lane checks in
-    the batched monitor) costs one iteration per *set bit*, not per lane.
+    (data scatter and select decoding in the lane kernels, stalled-lane
+    checks in the batched monitor) costs one iteration per *set bit*, not
+    per lane.
     """
     while mask:
         low = mask & -mask

@@ -21,6 +21,7 @@ paper's figure.
 from __future__ import annotations
 
 from repro.elastic.node import Node
+from repro.elastic.spec import CombSpec, state, value
 
 
 class AbstractElasticFifo(Node):
@@ -70,11 +71,6 @@ class AbstractElasticFifo(Node):
 
     # -- combinational ---------------------------------------------------------------
 
-    def comb_reads(self):
-        # Offers/stops are functions of the pointers, retry registers and
-        # the frozen nondeterministic choice only.
-        return []
-
     def comb(self):
         changed = False
         offer_token = self._retry_plus or (
@@ -94,6 +90,26 @@ class AbstractElasticFifo(Node):
         changed |= self.drive("i", "sp", self.count >= self.max_occupancy)
         changed |= self.drive("o", "sm", self.count <= -self.max_occupancy)
         return changed
+
+    def comb_spec(self):
+        # Offers/stops are functions of the pointers, retry registers and
+        # the frozen nondeterministic choice only.
+        count = "(self._wr - self._rd)"
+        token = state("token")
+        return CombSpec(
+            state={
+                "token": f"(self._retry_plus or bool(self._choice & 1)) "
+                         f"and {count} >= 1",
+                "anti": f"(self._retry_minus or bool(self._choice & 2)) "
+                        f"and {count} <= -1",
+                "full": f"{count} >= self.max_occupancy",
+                "anti_full": f"{count} <= -self.max_occupancy",
+            },
+            signals={("o", "vp"): token, ("i", "vm"): state("anti"),
+                     ("i", "sp"): state("full"),
+                     ("o", "sm"): state("anti_full")},
+            data={"o": (token, value("self._store[self._rd]"))},
+        )
 
     # -- sequential -------------------------------------------------------------------
 

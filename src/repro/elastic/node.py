@@ -42,27 +42,14 @@ class Node:
 
     #: Comb spec builder: a method ``comb_spec(self)`` returning the
     #: :class:`~repro.elastic.spec.CombSpec` that describes :meth:`comb`
-    #: (``None``: the kind has none).  The read set, the batch engine's
+    #: (``None``: the kind has none, and runs through :meth:`comb` on
+    #: every engine).  The read set, the batch engine's
     #: mask kernel and the codegen engine's straight-line signal tasks are
     #: all generated from it (see :mod:`repro.elastic.spec`); :meth:`comb`
     #: stays the reference the differential suites pin those derived
     #: copies to.  A spec counts only when it is defined at or below the
     #: class that defines ``comb`` (:func:`repro.elastic.spec.own_hook`).
     comb_spec = None
-
-    #: Hand-written batched combinational kernel (lane-parallel engine), for
-    #: kinds whose logic a comb spec cannot express (data-dependent select,
-    #: per-lane schedulers).  ``None`` means the batch engine compiles the
-    #: comb spec, or — without one — evaluates this node lane by lane
-    #: through the ordinary :meth:`comb` (the scalar fallback).  A kernel is
-    #: a ``staticmethod(ctx)`` advancing every lane of a batch at once:
-    #: ``ctx`` is a :class:`repro.sim.batch.BatchNodeCtx` exposing the
-    #: per-lane node instances, the
-    #: :class:`~repro.elastic.channel.BatchChannelState` of each port, and
-    #: bit-mask drive helpers.  It must implement exactly the per-lane
-    #: semantics of :meth:`comb`, and obeys the same trust rule as
-    #: ``comb_spec``.
-    batch_comb = None
 
     #: Codegen tick emitter: ``staticmethod(g, ni, node, out)`` appending
     #: straight-line statements equivalent to :meth:`tick` to ``out`` (see

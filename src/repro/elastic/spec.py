@@ -29,13 +29,21 @@ A spec maps every signal ``comb()`` drives to a Kleene term:
   and treats them as known;
 * ``TRUE`` / ``FALSE`` and the strong-Kleene ``and_`` / ``or_`` /
   ``not_`` / ``ite`` over terms (with the constant folding of
-  :mod:`repro.kleene`'s truth tables).
+  :mod:`repro.kleene`'s truth tables);
+* ``case(port, arms)`` — a **data-indexed** term: the arm indexed by the
+  data ``port`` carries.  It is False while ``port``'s ``vp`` is False,
+  unknown while ``vp`` is unknown or True with unknown data, and raises
+  :class:`~repro.errors.SchedulerError` (:func:`select_index`) whenever
+  ``vp`` is True and the data is not an int in ``range(len(arms))`` —
+  the early-evaluation mux's select.
 
 Data outputs are **guarded**: ``(guard, value)`` drives the port's data
 in a cycle where the Kleene guard is True and every argument of the value
 is known.  A value is a state expression (:func:`value`), a port's data
-(:func:`data`) or a method call on port data (:func:`call`, e.g. a
-``Func``'s ``fn``).
+(:func:`data`), a method call on port data (:func:`call`, e.g. a
+``Func``'s ``fn``) or a ``case(port, values)`` picking one of several
+values by ``port``'s data (known only while ``port``'s ``vp`` is True),
+e.g. the mux's ``data(i{sel})``.
 
 A spec is built from one node but cached per (class, ports) and reused
 for every node of that shape, so it may depend on the node's ports only —
@@ -45,9 +53,9 @@ read them at run time.
 Trust
 -----
 
-:func:`own_hook` is the one trust rule of the derived copies: a spec,
-batch kernel or tick emitter counts only if it is defined at or below the
-class that defines ``comb`` (or ``tick``).  A subclass that overrides
+:func:`own_hook` is the one trust rule of the derived copies: a spec or
+tick emitter counts only if it is defined at or below the class that
+defines ``comb`` (or ``tick``).  A subclass that overrides
 ``comb`` without a spec of its own therefore falls back to the engines'
 scalar paths and to the conservative role-derived read set, instead of
 running its ancestor's semantics.
@@ -55,11 +63,13 @@ running its ancestor's semantics.
 
 from __future__ import annotations
 
+from repro.errors import SchedulerError
+
 # -- terms --------------------------------------------------------------------
 #
 # Terms are plain tuples, so they hash and compare structurally:
 # ("sig", port, signal), ("state", name), ("const", bool), ("not", a),
-# ("and", a, b), ("or", a, b), ("ite", c, t, f).
+# ("and", a, b), ("or", a, b), ("ite", c, t, f), ("case", port, arms).
 
 TRUE = ("const", True)
 FALSE = ("const", False)
@@ -133,6 +143,23 @@ def ite(c, t, f):
     return ("ite", c, t, f)
 
 
+def case(port, arms):
+    """The arm indexed by ``port``'s data: a term when ``arms`` are terms,
+    a data value when they are values (see the module docstring)."""
+    return ("case", port, tuple(arms))
+
+
+def select_index(node, sel, n):
+    """``sel`` as an index into ``n`` case arms, or
+    :class:`~repro.errors.SchedulerError` when it is not an int in range."""
+    if isinstance(sel, int) and 0 <= sel < n:
+        return sel
+    raise SchedulerError(
+        f"{type(node).__name__} {node.name}: select value {sel!r} out of "
+        f"range 0..{n - 1}"
+    )
+
+
 # -- data values ----------------------------------------------------------------
 
 
@@ -152,7 +179,8 @@ def call(method, *ports):
 
 
 def value_ports(val):
-    """Ports whose data ``val`` needs (all must be known to drive it)."""
+    """Ports whose data a ``data``/``call``/``value`` value needs (all must
+    be known to drive it); a ``case`` value needs its selected arm's."""
     if val[0] == "data":
         return (val[1],)
     if val[0] == "call":
@@ -160,15 +188,23 @@ def value_ports(val):
     return ()
 
 
-def _leaves(term, op, out):
-    """Append the distinct ``op`` leaves of ``term`` to ``out``:
-    ``(port, signal)`` pairs for ``"sig"``, names for ``"state"``."""
-    if term[0] == op:
-        leaf = term[1:] if op == "sig" else term[1]
+def _leaves(node, op, out):
+    """Append the distinct ``op`` leaves of a term or data value to
+    ``out``: ``(port, signal)`` pairs for ``"sig"``, names for
+    ``"state"``."""
+    tag = node[0]
+    if tag == op:
+        leaf = node[1:] if op == "sig" else node[1]
         if leaf not in out:
             out.append(leaf)
-    elif term[0] in ("not", "and", "or", "ite"):
-        for sub in term[1:]:
+    elif tag == "case":
+        for sub in (sig(node[1], "vp"), sig(node[1], "data")) + node[2]:
+            _leaves(sub, op, out)
+    elif tag in ("data", "call"):
+        for port in value_ports(node):
+            _leaves(sig(port, "data"), op, out)
+    elif tag in ("not", "and", "or", "ite"):
+        for sub in node[1:]:
             _leaves(sub, op, out)
     return out
 
@@ -212,9 +248,7 @@ class CombSpec:
         guard and the data of every value argument)."""
         reads = _leaves(self.output_term(port, signal), "sig", [])
         if signal == "data":
-            for arg in value_ports(self.data[port][1]):
-                if (arg, "data") not in reads:
-                    reads.append((arg, "data"))
+            _leaves(self.data[port][1], "sig", reads)
         return tuple(reads)
 
 
@@ -226,8 +260,8 @@ def own_hook(cls, attr, anchor="comb"):
     ``anchor`` in ``cls``'s MRO, else ``None``.
 
     This is the one trust rule for every derived copy of a node's
-    semantics: comb specs and ``batch_comb`` kernels are anchored at
-    ``comb``, tick emitters at ``tick``.  An inherited copy would
+    semantics: comb specs are anchored at ``comb``, tick emitters at
+    ``tick``.  An inherited copy would
     reproduce the *ancestor's* method, not the subclass override.
     """
     hook = getattr(cls, attr, None)

@@ -55,8 +55,8 @@ CODES = {
              "connect the node downstream of a source or a token-holding buffer, or remove it"),
     "W203": ("fork/join imbalance: a fork reaches only part of a lazy join's inputs",
              "balance the branches (the join will starve waiting for the unforked side)"),
-    "W210": ("comb() override without its own comb spec or batch_comb kernel",
-             "add a comb_spec (or a batch_comb staticmethod), or accept per-lane scalar fallback in the batch engine"),
+    "W210": ("comb() override without its own comb spec",
+             "add a comb_spec, or accept per-lane scalar fallback in the batch engine and the codegen residue"),
     "W211": ("chaos saboteur left in the design",
              "chaos.unwrap(handle) the instrumented netlist (or rebuild it) before shipping — fault injection must not reach production"),
 }

@@ -484,9 +484,9 @@ def rule_fork_join(netlist):
 
 
 @lint_rule("batch-kernels", ("W210",),
-           "a comb() override without its own comb spec or batch_comb "
-           "kernel falls back to per-lane scalar evaluation in the batch "
-           "engine")
+           "a comb() override without its own comb spec falls back to "
+           "per-lane scalar evaluation in the batch engine and to the "
+           "codegen residue")
 def rule_batch_kernels(netlist):
     from repro.elastic.node import Node
     from repro.elastic.spec import own_hook
@@ -498,14 +498,14 @@ def rule_batch_kernels(netlist):
     for cls, names in sorted(by_class.items(), key=lambda kv: kv[0].__name__):
         if cls.comb is Node.comb:
             continue                      # no combinational behaviour at all
-        if own_hook(cls, "comb_spec") or own_hook(cls, "batch_comb"):
+        if own_hook(cls, "comb_spec"):
             continue
         reason = ("an ancestor's is suppressed as unsafe"
-                  if cls.comb_spec or cls.batch_comb else "none defined")
+                  if cls.comb_spec else "none defined")
         diags.append(Diagnostic(
             code="W210",
             message=(f"{cls.__name__} overrides comb() without its own "
-                     f"comb spec or batch_comb ({reason}): {len(names)} "
+                     f"comb spec ({reason}): {len(names)} "
                      f"node(s) fall back to scalar lanes"),
             node=names[0]))
     return diags

@@ -16,12 +16,11 @@ How a cycle runs
    exactly as in the scalar engines (per-lane RNGs stay independent).
 2. **batched fix-point** — the worklist loop visits *node positions* (one
    per topology node, covering all lanes).  Positions with a lane kernel
-   (:func:`batch_kernel`: compiled from the node kind's comb spec, see
-   :mod:`repro.elastic.spec`, or a hand-written
-   :attr:`~repro.elastic.node.Node.batch_comb` for the few kinds a spec
-   cannot express) advance every lane with a handful of bitwise Kleene
-   operations (:func:`repro.kleene.mand` and friends, inlined); positions
-   without one fall back to the scalar ``comb`` lane by lane, bridged
+   (:func:`batch_kernel`, compiled from the node kind's comb spec, see
+   :mod:`repro.elastic.spec`) advance every lane with a handful of bitwise
+   Kleene operations on the mask pairs;
+   positions of a kind without a spec (or a subclass overriding ``comb``
+   without its own) fall back to the scalar ``comb`` lane by lane, bridged
    through the lanes' own
    :class:`~repro.elastic.channel.ChannelState` objects.  Change
    propagation reuses the exact signal -> readers tables of the worklist
@@ -78,7 +77,7 @@ from repro.elastic.channel import (
     iter_lanes,
 )
 from repro.elastic.node import Node
-from repro.elastic.spec import own_hook, spec_for, value_ports
+from repro.elastic.spec import select_index, spec_for, value_ports
 from repro.errors import CombinationalLoopError
 from repro.sim.monitors import BatchProtocolMonitor
 from repro.sim.sensitivity import sensitivity_tables
@@ -89,15 +88,11 @@ def batch_kernel(node):
     """The lane kernel the batch engine runs for ``node``'s position, or
     ``None`` for the per-lane scalar fallback.
 
-    A hand-written ``batch_comb`` comes first; otherwise the node's comb
-    spec is compiled into a mask kernel (once per spec, on first use).  Both
-    obey :func:`repro.elastic.spec.own_hook`: a subclass that overrides
-    ``comb`` without its own kernel or spec falls back to its (always
-    correct) scalar ``comb``.
+    The node's comb spec is compiled into a mask kernel (once per spec, on
+    first use).  Under :func:`repro.elastic.spec.own_hook`, a subclass that
+    overrides ``comb`` without its own spec has none and falls back to its
+    (always correct) scalar ``comb``.
     """
-    kernel = own_hook(type(node), "batch_comb")
-    if kernel is not None:
-        return kernel
     spec = spec_for(node)
     if spec is None:
         return None
@@ -108,6 +103,18 @@ def batch_kernel(node):
 
 
 _KERNELS = {}
+
+
+def _select_masks(bst, n, lanes):
+    """Per-value lane masks of the select ``bst`` of a ``case`` with ``n``
+    arms: mask ``k`` holds the lanes whose ``vp`` is True and whose data
+    is ``k``.  Raises :class:`~repro.errors.SchedulerError` for the lowest
+    lane with an invalid select, as the scalar ``comb`` would."""
+    masks = [0] * n
+    data = bst.data
+    for lane in iter_lanes(bst.vp_v & bst.data_k):
+        masks[select_index(lanes[lane], data[lane], n)] |= 1 << lane
+    return masks
 
 
 def _atom(expr):
@@ -146,17 +153,22 @@ def _bandnot(x, y):
 class _MaskLowering:
     """Lowers spec terms to ``(known, value)`` mask expressions.
 
-    Each term becomes a pair of Python expressions over the kernel's
-    locals: ``full`` (all lanes), ``s<j>`` (state-term masks) and the
-    ``p<k>`` port states, with the bit formulas of :func:`repro.kleene.mand`
-    and friends inlined.  Composite terms are assigned to temporaries; a
+    A three-valued signal of N lanes is a pair of ints ``(known, value)``
+    (bit ``l`` of ``known`` set once lane ``l`` resolved it, ``value`` a
+    subset of ``known``), and each strong-Kleene operator lifts to a few
+    bitwise operations on such pairs, monotone per lane.  Each term becomes
+    a pair of Python expressions over the kernel's locals: ``full`` (all
+    lanes), ``s<j>`` (state-term masks), the ``p<k>`` port states and
+    ``c<k>_<v>`` (lanes where port ``k`` selects case arm ``v``), with those
+    bit formulas inlined.  Composite terms are assigned to temporaries; a
     known mask of ``full`` marks a term known in every lane, which folds
     most of the formulas away.
     """
 
-    def __init__(self, ports, states, lines, indent):
+    def __init__(self, ports, states, selects, lines, indent):
         self.ports = ports
         self.states = states
+        self.selects = selects     # port index -> arms of its cases
         self.lines = lines
         self.indent = indent
         self.n_temps = 0
@@ -185,6 +197,18 @@ class _MaskLowering:
         if op == "sig":
             p = f"p{self.ports.index(term[1])}"
             return (f"{p}.{term[2]}_k", f"{p}.{term[2]}_v")
+        if op == "case":
+            # Known where the select is absent, or selects a known arm.
+            k = self.ports.index(term[1])
+            self.selects[k] = len(term[2])
+            known = [_bandnot(f"p{k}.vp_k", f"p{k}.vp_v")]
+            value = []
+            for v, arm in enumerate(term[2]):
+                ak, av = self.lower(arm)
+                known.append(_band(f"c{k}_{v}", ak))
+                value.append(_band(f"c{k}_{v}", av))
+            v = self._temp(_bor(*value))
+            return (self._temp(_bor(*known)), v)
         if op == "not":
             ak, av = self.lower(term[1])
             return (ak, self._temp(_bandnot(ak, av)))
@@ -215,11 +239,12 @@ class _MaskLowering:
 
 
 def _compile_kernel(spec, cls):
-    """Python source of a ``batch_comb``-shaped kernel for ``spec``,
+    """Python source of a lane kernel ``kernel(ctx)`` for ``spec``,
     compiled.  Per cycle it builds the state-term lane masks once (cached
     in ``ctx.cache`` when the node reads signals and may be re-evaluated),
-    then drives each output signal not yet known in every lane with
-    inlined bitwise Kleene logic, and sets data lane by lane."""
+    per call the select masks of its ``case`` terms, then drives each
+    output signal not yet known in every lane with inlined bitwise Kleene
+    logic, and sets data lane by lane."""
     ports = []
     for port, _signal in spec.outputs() + list(spec.reads):
         if port not in ports:
@@ -227,6 +252,8 @@ def _compile_kernel(spec, cls):
     states = list(spec.state)
     body = ["full = ctx.full", "ports = ctx.ports"]
     body += [f"p{k} = ports[{port!r}]" for k, port in enumerate(ports)]
+    selects = {}
+    header = len(body)      # the select masks go here, once lowered
     if states:
         masks = ", ".join(f"s{j}" for j in range(len(states))) + ","
         build = [" = ".join(f"s{j}" for j in range(len(states))) + " = 0",
@@ -245,17 +272,21 @@ def _compile_kernel(spec, cls):
     for (port, signal), term in spec.signals.items():
         p = f"p{ports.index(port)}"
         body.append(f"if full & ~{p}.{signal}_k:")
-        lowering = _MaskLowering(ports, states, body, "    ")
+        lowering = _MaskLowering(ports, states, selects, body, "    ")
         k, v = lowering.lower(term)
         if k == "full":
             body.append(f"    {p}.set_mask({signal!r}, full, {v})")
         else:
             body += [f"    if {k} & ~{p}.{signal}_k:",
                      f"        {p}.set_mask({signal!r}, {k}, {v})"]
-    for port, (guard, val) in spec.data.items():
-        p = f"p{ports.index(port)}"
-        lowering = _MaskLowering(ports, states, body, "")
-        need = f"{lowering.lower(guard)[1]} & ~{p}.data_k"
+
+    def set_data(p, need, val):
+        if val[0] == "case":
+            k = ports.index(val[1])
+            selects[k] = len(val[2])
+            for v, arm in enumerate(val[2]):
+                set_data(p, f"{need} & c{k}_{v}", arm)
+            return
         for arg in value_ports(val):
             need += f" & p{ports.index(arg)}.data_k"
         body.append(f"for lane in iter_lanes({need}):")
@@ -269,8 +300,16 @@ def _compile_kernel(spec, cls):
                 args = ", ".join(f"p{ports.index(a)}.data[lane]" for a in val[2])
                 expr = f"self.{val[1]}({args})"
             body.append(f"    {p}.set_data(lane, {expr})")
+
+    for port, (guard, val) in spec.data.items():
+        p = f"p{ports.index(port)}"
+        lowering = _MaskLowering(ports, states, selects, body, "")
+        set_data(p, f"{lowering.lower(guard)[1]} & ~{p}.data_k", val)
+    body[header:header] = ["".join(f"c{k}_{v}, " for v in range(n))
+                           + f"= _select_masks(p{k}, {n}, ctx.lanes)"
+                           for k, n in selects.items()]
     source = "def kernel(ctx):\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {"iter_lanes": iter_lanes}
+    namespace = {"iter_lanes": iter_lanes, "_select_masks": _select_masks}
     exec(compile(source, f"<comb spec kernel {cls.__qualname__}>", "exec"),
          namespace)
     return namespace["kernel"]
@@ -405,23 +444,16 @@ class BatchNodeCtx:
     ``cache`` is a scratch dict the engine clears at the start of every
     cycle — kernels that are re-evaluated within a fix-point stash masks
     derived from *sequential* state there (occupancies, kill counters,
-    predictions), which are constant for the cycle.  ``static`` persists
-    across cycles for structure (port state lists).
+    predictions), which are constant for the cycle.
     """
 
-    __slots__ = ("lanes", "full", "n_lanes", "ports", "cache", "static")
+    __slots__ = ("lanes", "full", "ports", "cache")
 
     def __init__(self, lanes, ports, full):
         self.lanes = lanes            # tuple of per-lane node instances
         self.ports = ports            # port name -> BatchChannelState
         self.full = full              # all-lanes mask
-        self.n_lanes = len(lanes)
         self.cache = {}
-        self.static = {}
-
-    def bst(self, port):
-        """The :class:`BatchChannelState` bound to ``port``."""
-        return self.ports[port]
 
     def lane_mask(self, pred):
         """Mask of lanes whose node instance satisfies ``pred``."""

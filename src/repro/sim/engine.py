@@ -65,8 +65,7 @@ signals are bit-packed Python ints — each three-valued signal becomes a
 single pass over the same static sensitivity map advances N configurations
 of a shared topology at once, with node logic lane-parallelized through
 bitwise Kleene operators (mask kernels compiled from each node kind's
-comb spec, hand-written ``Node.batch_comb`` kernels for the kinds a spec
-cannot express, a per-lane scalar fallback for everything else).
+comb spec, a per-lane scalar fallback for a kind without one).
 ``Simulator(engine="batch")`` wraps a single netlist in a one-lane
 :class:`~repro.sim.batch.BatchSimulator` and behaves exactly like the
 scalar engines (the differential fuzz tests pin all three against each
@@ -75,14 +74,16 @@ other); multi-lane batches are built directly via
 ``run_sweep(spec, lanes=N)``.
 
 ``codegen`` — the compiled engine of :mod:`repro.backend.pysim`.  The
-netlist is *elaborated*: its acyclic majority (the same levelized order
-the worklist seeds with) is emitted as straight-line Python with channel
-signals in flat locals, the cyclic residue runs in a generated
-event-driven worklist off the same change log (so it makes exactly this
-engine's ``comb()`` calls there), and protocol monitoring / statistics /
-event resolution / the node kinds' ``tick`` emitters are inlined into
-the same generated function — one Python call per cycle, no per-node dispatch.  Modules are ``exec``-compiled
-once per topology and cached process-wide (sequential parameters are read
+netlist is *elaborated*: every node with a comb spec whose signals are
+acyclic (on the shipped designs, every node) is emitted as straight-line
+Python with channel signals in flat locals, the residue — nodes without a
+spec and true combinational loops — runs in a generated event-driven
+worklist off the same change log (so it makes exactly this engine's
+``comb()`` calls there), and protocol monitoring / statistics / event
+resolution / the node kinds' ``tick`` emitters are inlined into the same
+generated function — one Python call per cycle, no per-node dispatch.
+Modules are ``exec``-compiled once per topology and kept in a bounded
+process-wide cache (sequential parameters are read
 at run time, so sweeps over one topology compile once); structural edits
 re-elaborate before the next step, never serving stale code.  Highest
 per-cycle throughput (~10x over worklist on the deep-pipeline bench) at

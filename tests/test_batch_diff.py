@@ -182,11 +182,9 @@ class TestProtocolVerdicts:
         """Deliberately broken: withdraws a stalled token after 2 cycles.
 
         Subclasses ElasticBuffer only to inherit wiring; comb is replaced
-        by a protocol-violating offer, and batch_comb is disabled so the
-        batch engine exercises the scalar fallback path on it too.
+        by a protocol-violating offer without a comb spec, so the batch
+        engine exercises the scalar fallback path on it too.
         """
-
-        batch_comb = None
 
         def __init__(self, name):
             super().__init__(name, init=(1, 2))
@@ -398,8 +396,6 @@ class TestFallbackMidFixpointEvents:
     class ProbingSink(Sink):
         """Fallback-path sink whose comb consults another channel's
         events() mid-fix-point (legal, must raise on unresolved)."""
-
-        batch_comb = None
 
         def __init__(self, name, watch):
             super().__init__(name)

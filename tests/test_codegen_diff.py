@@ -170,8 +170,6 @@ class TestProtocolViolationParity:
         monitor through a boxed channel.
         """
 
-        batch_comb = None
-
         def __init__(self, name):
             super().__init__(name, init=(1, 2))
             self._age = 0
@@ -467,6 +465,32 @@ class TestModuleCache:
         source = pysim.generated_source(net)
         compile(source, "<test>", "exec")  # must be valid Python
         assert "def build(env):" in source
+
+    def test_cache_is_a_bounded_lru(self, monkeypatch):
+        """The process-wide cache keeps the most recently used modules
+        only, so a long-lived server compiling many topologies stays
+        bounded, while a topology in use keeps hitting."""
+        monkeypatch.setattr(pysim, "MODULE_CACHE_SIZE", 2)
+        pysim.clear_module_cache()
+        shapes = {"a": ["eb"], "b": ["zbl"], "c": ["eb", "func"]}
+
+        def run(shape, seed=0):
+            net = build_pipeline(shapes[shape], 0.2, seed, list(range(10)))
+            Simulator(net, engine="codegen").run(3)
+            return pysim.cache_stats()
+
+        run("a")
+        run("b")
+        stats = run("a", seed=1)              # reuse: hit, now most recent
+        assert (stats["hits"], stats["re_elaborations"]) == (1, 2)
+        stats = run("c")                      # evicts "b", least recent
+        assert stats["modules"] == 2
+        stats = run("a", seed=2)
+        assert (stats["hits"], stats["re_elaborations"]) == (2, 3)
+        stats = run("b")                      # evicted: compiled again
+        assert (stats["hits"], stats["re_elaborations"]) == (2, 4)
+        assert stats["modules"] == 2
+        pysim.clear_module_cache()
 
     @staticmethod
     def _pipe(seed):

@@ -15,12 +15,16 @@ derived from (:mod:`repro.elastic.spec`).
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from repro.chaos.saboteurs import BubbleInjector, StallInjector, StateCorruptor
+from repro.core.scheduler import StaticScheduler, ToggleScheduler
+from repro.core.shared import SharedModule
 from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.channel import Channel, ALL_SIGNALS
+from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import (
     FunctionSource,
     KillerSink,
@@ -30,10 +34,14 @@ from repro.elastic.environment import (
     NondetSource,
     Sink,
 )
+from repro.elastic.fifo_model import AbstractElasticFifo
 from repro.elastic.fork import EagerFork
 from repro.elastic.functional import Func
 from repro.elastic.spec import spec_for, value_ports
+from repro.elastic.varlat import VariableLatencyUnit
+from repro.errors import SchedulerError
 from repro.kleene import kand, kite, knot, kor
+from repro.netlist import patterns
 from repro.netlist.graph import Netlist
 from repro.sim.engine import Simulator
 from repro.sim.stats import TransferLog
@@ -41,6 +49,10 @@ from repro.sim.stats import TransferLog
 
 def _plus(*args):
     return sum(args) + 1
+
+
+def _shared(k):
+    return SharedModule("n", _plus, ToggleScheduler(k), n_channels=k)
 
 
 # -- read sets: the parent's hand-written declarations, as literals -------------
@@ -73,6 +85,23 @@ DECLARED_READS = [
     (lambda: StallInjector("n"), IO_ALL),
     (lambda: BubbleInjector("n"), {("o", "sp"), ("o", "vm"), ("i", "sm")}),
     (lambda: StateCorruptor("n"), IO_ALL),
+    (lambda: _shared(2),
+     {("i0", "vp"), ("i0", "data"), ("i0", "sm"), ("o0", "vm"), ("o0", "sp"),
+      ("i1", "vp"), ("i1", "data"), ("i1", "sm"), ("o1", "vm"),
+      ("o1", "sp")}),
+    (lambda: _shared(3),
+     {("i0", "vp"), ("i0", "data"), ("i0", "sm"), ("o0", "vm"), ("o0", "sp"),
+      ("i1", "vp"), ("i1", "data"), ("i1", "sm"), ("o1", "vm"), ("o1", "sp"),
+      ("i2", "vp"), ("i2", "data"), ("i2", "sm"), ("o2", "vm"),
+      ("o2", "sp")}),
+    (lambda: VariableLatencyUnit("n", _plus, lambda v: v > 3), set()),
+    (lambda: EarlyEvalMux("n", n_inputs=2),
+     {("s", "vp"), ("s", "data"), ("o", "sp"), ("i0", "vp"), ("i0", "data"),
+      ("i1", "vp"), ("i1", "data")}),
+    (lambda: EarlyEvalMux("n", n_inputs=3),
+     {("s", "vp"), ("s", "data"), ("o", "sp"), ("i0", "vp"), ("i0", "data"),
+      ("i1", "vp"), ("i1", "data"), ("i2", "vp"), ("i2", "data")}),
+    (lambda: AbstractElasticFifo("n"), set()),
 ]
 
 
@@ -104,39 +133,91 @@ def test_comb_override_falls_back_to_role_reads():
 # -- every spec agrees with its comb() over all Kleene inputs -------------------
 
 
-def _eval(spec, term, node, env):
+_CODE = {}
+
+
+def _state(expr, node):
+    code = _CODE.get(expr)
+    if code is None:
+        code = _CODE[expr] = compile(expr, "<state>", "eval")
+    return bool(eval(code, {}, {"self": node}))
+
+
+def _eval(spec, term, node, env, memo=None):
+    """Kleene value of ``term`` (``memo``: values of the shared subterm
+    objects already evaluated under ``env``, by id)."""
+    if memo is not None and id(term) in memo:
+        return memo[id(term)]
     op = term[0]
     if op == "const":
         return term[1]
     if op == "state":
-        return bool(eval(spec.state[term[1]], {}, {"self": node}))
+        return _state(spec.state[term[1]], node)
     if op == "sig":
         return env.get((term[1], term[2]))
-    args = [_eval(spec, t, node, env) for t in term[1:]]
-    if op == "not":
-        return knot(args[0])
-    if op == "and":
-        return kand(*args)
-    if op == "or":
-        return kor(*args)
-    return kite(*args)
+    if op == "case":
+        arms = [_eval(spec, t, node, env, memo) for t in term[2]]
+        sel = _select(term[1], len(arms), node, env)
+        result = False if sel == -1 else None if sel is None else arms[sel]
+    else:
+        args = [_eval(spec, t, node, env, memo) for t in term[1:]]
+        if op == "not":
+            result = knot(args[0])
+        elif op == "and":
+            result = kand(*args)
+        elif op == "or":
+            result = kor(*args)
+        else:
+            result = kite(*args)
+    if memo is not None:
+        memo[id(term)] = result
+    return result
+
+
+def _select(port, n, node, env):
+    """A case's arm index: -1 while ``port`` is absent, None while it is
+    unknown; an invalid select raises as ``EarlyEvalMux.comb`` does."""
+    vp, sel = env.get((port, "vp")), env.get((port, "data"))
+    if vp is not True:
+        return None if vp is None else -1
+    if sel is not None and (not isinstance(sel, int) or not 0 <= sel < n):
+        raise SchedulerError(f"{node.name}: select {sel!r}")
+    return sel
+
+
+def _value(spec, val, node, env):
+    if val[0] == "case":
+        sel = _select(val[1], len(val[2]), node, env)
+        if sel is None or sel == -1:
+            return None
+        return _value(spec, val[2][sel], node, env)
+    args = [env.get((arg, "data")) for arg in value_ports(val)]
+    if None in args:
+        return None
+    if val[0] == "data":
+        return args[0]
+    if val[0] == "call":
+        return getattr(node, val[1])(*args)
+    return eval(val[1], {}, {"self": node})
 
 
 def _evaluate_spec(spec, node, env):
-    drives = {key: _eval(spec, term, node, env)
+    memo = {}
+    drives = {key: _eval(spec, term, node, env, memo)
               for key, term in spec.signals.items()}
     for port, (guard, val) in spec.data.items():
-        args = [env.get((arg, "data")) for arg in value_ports(val)]
         result = None
-        if _eval(spec, guard, node, env) is True and None not in args:
-            if val[0] == "data":
-                result = args[0]
-            elif val[0] == "call":
-                result = getattr(node, val[1])(*args)
-            else:
-                result = eval(val[1], {}, {"self": node})
+        if _eval(spec, guard, node, env, memo) is True:
+            result = _value(spec, val, node, env)
         drives[(port, "data")] = result
     return drives
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except SchedulerError:
+        return SchedulerError
 
 
 def _comb_drives(node, env):
@@ -182,7 +263,35 @@ STATES = [
       for b in (False, True)]),
     (lambda: StateCorruptor("n", rate=1.0, seed=3),
      [dict(_idx=i) for i in range(3)]),
+    (lambda: _shared(2),
+     [dict(scheduler=StaticScheduler(2, favourite=g)) for g in (0, 1)]),
+    (lambda: VariableLatencyUnit("n", _plus, lambda v: v > 3),
+     [dict(_q=deque([list(slot) for slot in q]))
+      for q in [(), ((5, 0),), ((5, 1),), ((5, 0), (6, 0)),
+                ((5, 1), (6, 0))]]),
+    (lambda: EarlyEvalMux("n", n_inputs=2, max_kills=2),
+     [dict(_pk=[a, b], _pko=o) for a in (0, 1) for b in (0, 2)
+      for o in (0, 1, 2)]),
+    (lambda: EarlyEvalMux("n", n_inputs=3, max_kills=1),
+     [dict(_pk=[0, 0, 0], _pko=0), dict(_pk=[1, 0, 1], _pko=1)]),
+    (lambda: AbstractElasticFifo("n", max_occupancy=2),
+     [dict(_wr=w, _rd=r, _store={k: 10 + k for k in range(r, w)},
+           _retry_plus=rp, _retry_minus=rm, _choice=c)
+      for w, r in [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)]
+      for rp, rm in [(False, False), (True, False), (False, True)]
+      for c in range(4)]),
 ]
+
+
+def _domain(node, port, sig):
+    """Values tried for one read: the three Kleene values for a control,
+    unknown or a token for data — and for a mux select every arm index
+    plus one out of range, which both ``comb()`` and the spec raise on."""
+    if sig != "data":
+        return (None, False, True)
+    if isinstance(node, EarlyEvalMux) and port == "s":
+        return (None, *range(node.n_inputs + 1))
+    return (None, 7)
 
 
 @pytest.mark.parametrize("make,states", STATES,
@@ -191,16 +300,15 @@ def test_spec_matches_comb_on_every_kleene_input(make, states):
     node = make()
     spec = spec_for(node)
     reads = list(node.comb_reads())
-    domains = [(None, 7) if sig == "data" else (None, False, True)
-               for _port, sig in reads]
+    domains = [_domain(node, port, sig) for port, sig in reads]
     checked = 0
     for attrs in states:
         for name, val in attrs.items():
             setattr(node, name, val)
         for values in itertools.product(*domains):
             env = dict(zip(reads, values))
-            assert _evaluate_spec(spec, node, env) == _comb_drives(node, env), \
-                (attrs, env)
+            assert _outcome(_evaluate_spec, spec, node, env) == \
+                _outcome(_comb_drives, node, env), (attrs, env)
             checked += 1
     assert checked >= len(states)
 
@@ -272,6 +380,32 @@ def _nondet_design():
     return net
 
 
+def _speculative_design():
+    from repro.core.scheduler import NondetScheduler
+
+    return patterns.speculative_mc(NondetScheduler(2), n_zbl=1,
+                                   can_kill_sink=True)[0]
+
+
+def _fifo_design():
+    net = Netlist("pure_fifo")
+    net.add(NondetSource("nsrc"))
+    net.add(AbstractElasticFifo("fifo", max_occupancy=2))
+    net.add(NondetSink("nsnk", can_kill=True))
+    net.connect("nsrc.o", "fifo.i")
+    net.connect("fifo.o", "nsnk.i")
+    return net
+
+
+def _varlat_design():
+    from repro.netlist.varlat import variable_latency_stalling
+
+    return variable_latency_stalling(seed=2)[0]
+
+
+#: designs stepped with random nondeterministic choices
+_NONDET_DESIGNS = (_nondet_design, _speculative_design, _fifo_design)
+
 PURITY_CASES = {
     "ElasticBuffer": (_scalar_design, "eb"),
     "ZeroBackwardLatencyBuffer": (_scalar_design, "zbl"),
@@ -287,6 +421,10 @@ PURITY_CASES = {
     "StallInjector": (_scalar_design, "stall"),
     "BubbleInjector": (_scalar_design, "bubble"),
     "StateCorruptor": (_scalar_design, "corrupt"),
+    "SharedModule": (_speculative_design, "sh"),
+    "EarlyEvalMux": (_speculative_design, "mux"),
+    "VariableLatencyUnit": (_varlat_design, "vl"),
+    "AbstractElasticFifo": (_fifo_design, "fifo"),
 }
 
 
@@ -299,7 +437,7 @@ def test_comb_twice_leaves_state_and_signals_unchanged(kind):
     sim = Simulator(net, engine="worklist")
     rng = random.Random(11)
     for _ in range(60):
-        if build is _nondet_design:
+        if build in _NONDET_DESIGNS:
             choices = {node.name: rng.randrange(node.choice_space())
                        for node in net.nodes.values()}
             sim.step_with_choices(choices)

@@ -3,11 +3,13 @@ anti-token injection, pending kills, output kills."""
 
 import pytest
 
-from repro.elastic.buffers import ElasticBuffer
+from repro.elastic.buffers import ElasticBuffer, ZeroBackwardLatencyBuffer
 from repro.elastic.eemux import EarlyEvalMux
 from repro.elastic.environment import KillerSink, ListSource, Sink
-from repro.errors import SchedulerError
+from repro.elastic.functional import Func
+from repro.errors import CombinationalLoopError, SchedulerError
 from repro.netlist.graph import Netlist
+from repro.sim.engine import ENGINES, Simulator
 
 from helpers import run
 
@@ -122,3 +124,57 @@ class TestOutputKills:
         mux.restore(snap)
         assert mux._pk == [0, 0]
         assert mux._pko == 0
+
+
+class TestSelectEdgeCasesAllEngines:
+    """The select is the mux's one data-dependent input: every engine must
+    raise on an invalid select value and diagnose a select whose data
+    never resolves exactly like the worklist engine."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("sel", [2, -1, "x"])
+    def test_bad_select_value_raises(self, engine, sel):
+        net = mux_net([0, sel], [1, 2], [3, 4])
+        sim = Simulator(net, engine=engine)
+        with pytest.raises(SchedulerError):
+            sim.run(6)
+        assert sim.cycle == 1
+        assert net.nodes["snk"].values == [1]
+
+    @staticmethod
+    def _none_select_net():
+        """A select token whose data is None (``vp`` True, data unknown)
+        from its second token on, with a ZBL buffer downstream of the mux
+        so the unknown stop/kill also reaches back through it."""
+        net = Netlist("none_sel")
+        net.add(EarlyEvalMux("mux", n_inputs=2))
+        net.add(ListSource("sel", [0, 1, 0]))
+        net.add(Func("dec", lambda v: v if v == 0 else None, n_inputs=1))
+        net.add(ListSource("a", [1, 2, 3]))
+        net.add(ListSource("b", [4, 5, 6]))
+        net.add(ZeroBackwardLatencyBuffer("zbl"))
+        net.add(Func("inc", lambda v: v + 1, n_inputs=1))
+        net.add(Sink("snk"))
+        net.connect("sel.o", "dec.i0", name="cs0")
+        net.connect("dec.o", "mux.s", name="cs")
+        net.connect("a.o", "mux.i0", name="ca")
+        net.connect("b.o", "mux.i1", name="cb")
+        net.connect("mux.o", "zbl.i", name="m")
+        net.connect("zbl.o", "inc.i0", name="z")
+        net.connect("inc.o", "snk.i", name="out")
+        net.validate()
+        return net
+
+    def test_unknown_select_data_same_loop_diagnosis(self):
+        diagnoses = {}
+        for engine in ENGINES:
+            net = self._none_select_net()
+            sim = Simulator(net, engine=engine)
+            with pytest.raises(CombinationalLoopError) as err:
+                sim.run(6)
+            diagnoses[engine] = (err.value.unresolved, err.value.cycle)
+        worklist = diagnoses["worklist"]
+        assert worklist[1] == 1
+        assert {"cs.sp", "ca.vm", "cb.vm", "m.vp"} <= set(worklist[0])
+        for engine in ENGINES:
+            assert diagnoses[engine] == worklist, engine

@@ -364,8 +364,11 @@ def test_codegen_beats_worklist():
 
 
 #: node kinds codegen evaluates in its event-driven residue on the paper's
-#: speculative designs (the loop around shared module and early-eval mux).
+#: speculative designs once the shared module has no comb spec (the loop
+#: around shared module and early-eval mux).
 RESIDUE_KINDS = ("fork", "func", "shared", "eemux")
+
+PAPER_POINTS = ["fig1d", "fig6-speculative", "fig7b"]
 
 
 def _residue_point(name):
@@ -378,7 +381,24 @@ def _residue_point(name):
     return fig7_point("fig7b")[0]
 
 
-@pytest.mark.parametrize("design", ["fig1d", "fig6-speculative", "fig7b"])
+def _specless_shared_point(name):
+    """A paper point whose shared module overrides ``comb()`` without a
+    comb spec, so codegen runs it — and its cyclic neighbourhood — in the
+    event-driven residue."""
+    from repro.core.shared import SharedModule
+
+    class SpeclessShared(SharedModule):
+        def comb(self):
+            return super().comb()
+
+    net = _residue_point(name)
+    for node in net.nodes.values():
+        if type(node) is SharedModule:
+            node.__class__ = SpeclessShared
+    return net
+
+
+@pytest.mark.parametrize("design", PAPER_POINTS)
 def test_codegen_residue_evaluates_like_worklist(design):
     """The residue wakes only the readers of signals that changed, so per
     residue kind it makes exactly the worklist engine's ``comb()`` calls
@@ -388,7 +408,8 @@ def test_codegen_residue_evaluates_like_worklist(design):
 
     reports = {}
     for engine in ("worklist", "codegen"):
-        sim = Simulator(_residue_point(design), engine=engine, profile=True)
+        sim = Simulator(_specless_shared_point(design), engine=engine,
+                        profile=True)
         sim.run(200)
         reports[engine] = sim.profile_report()
     worklist, codegen = reports["worklist"], reports["codegen"]
@@ -402,21 +423,18 @@ def test_codegen_residue_evaluates_like_worklist(design):
 #: nodes codegen evaluates in its deferred residue rather than as
 #: straight-line tasks, per distinct topology of the ``perfbench`` sweep
 #: workloads (keyed by the label of its first design point) and per
-#: model-checking design.  Recorded when the signal tasks were still
-#: written by hand per node kind; the tasks lowered from comb specs must
-#: keep every other node straight-line.
+#: model-checking design.  Every shipped kind has a comb spec and none of
+#: these designs has a signal-level combinational loop, so every residue
+#: is empty.
 CODEGEN_RESIDUE = {
     "fig1[design=fig1a]": (7, ()),
     "fig1[design=fig1b]": (8, ()),
     "fig1[design=fig1c]": (8, ()),
-    "fig1[design=fig1d]": (
-        7, ("G", "P0", "P1", "fork", "mux", "shared_F_c0")),
-    "fig6[design=stalling arith_fraction=0.0 window=2]": (6, ("G", "vl")),
-    "fig6[design=speculative arith_fraction=0.0 window=2]": (
-        11, ("Fapprox", "Ferr", "Fexact", "fork", "mux", "sharedG")),
+    "fig1[design=fig1d]": (7, ()),
+    "fig6[design=stalling arith_fraction=0.0 window=2]": (6, ()),
+    "fig6[design=speculative arith_fraction=0.0 window=2]": (11, ()),
     "fig7[design=fig7a error_rate=0.0]": (7, ()),
-    "fig7[design=fig7b error_rate=0.0]": (
-        11, ("correct", "detect", "fork", "mux", "raw", "sharedAdd")),
+    "fig7[design=fig7b error_rate=0.0]": (11, ()),
     "deep-pipeline[n_stages=12]": (26, ()),
     "deep-pipeline[n_stages=64]": (130, ()),
 }
@@ -424,10 +442,10 @@ CODEGEN_RESIDUE = {
 CODEGEN_MC_RESIDUE = {
     "eb": (3, ()),
     "zbl": (3, ()),
-    "spec-toggle": (6, ("mux", "sh")),
-    "spec-nondet": (6, ("mux", "sh")),
-    "spec-static": (6, ("mux", "sh")),
-    "spec-z2-kill": (8, ("mux", "sh", "z0", "z1")),
+    "spec-toggle": (6, ()),
+    "spec-nondet": (6, ()),
+    "spec-static": (6, ()),
+    "spec-z2-kill": (8, ()),
 }
 
 
@@ -481,9 +499,28 @@ def test_codegen_keeps_straight_line_coverage():
             assert found[name][0] == n_nodes, name
             assert set(found[name][1]) <= set(deferred), name
     assert sum(n for n, _ in CODEGEN_RESIDUE.values()) == 221
-    assert sum(len(d) for _, d in CODEGEN_RESIDUE.values()) == 20
+    assert sum(len(d) for _, d in CODEGEN_RESIDUE.values()) == 0
     assert sum(n for n, _ in CODEGEN_MC_RESIDUE.values()) == 32
-    assert sum(len(d) for _, d in CODEGEN_MC_RESIDUE.values()) == 10
+    assert sum(len(d) for _, d in CODEGEN_MC_RESIDUE.values()) == 0
+
+
+def test_codegen_paper_designs_have_no_residue():
+    """With a comb spec for every kind on them, the paper points and the
+    model-checking designs elaborate with every node straight-line —
+    counted, so a lost spec (or a lowering that drops a task) fails on any
+    machine."""
+    from repro.designs import MC_DESIGNS
+    from repro.netlist import patterns
+
+    nets = {name: _residue_point(name) for name in PAPER_POINTS}
+    nets.update((name, factory()) for name, factory in MC_DESIGNS.items())
+    nets["spec-z2-kill"] = patterns.speculative_mc(
+        n_zbl=2, can_kill_sink=True)[0]
+    residues = {name: _residue(net) for name, net in nets.items()}
+    assert len(residues) == 3 + len(MC_DESIGNS) + 1
+    assert {name: deferred for name, (_, deferred) in residues.items()
+            if deferred} == {}
+    assert sum(n for n, _ in residues.values()) == 7 + 11 + 11 + 32
 
 
 # -- serve result-cache smoke (ISSUE 8) ----------------------------------------
